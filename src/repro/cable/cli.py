@@ -7,35 +7,12 @@ by ``;``) and optionally a reference-FA file in the format of
 :mod:`repro.fa.serialization`; without an FA, one is learned from the
 traces with sk-strings — the miner-FA default of Section 2.2.
 
-Commands::
-
-    lattice                     show the colored lattice
-    inspect N                   inspect concept N (counted operation)
-    fa N [all|unlabeled|=LBL]   Show FA for a selection of concept N
-    trans N [sel]               Show transitions
-    traces N [sel]              Show traces
-    label N LBL [sel]           Label traces (counted operation)
-    focus N unordered           focus concept N under the Unordered template
-    focus N seed SYMBOL         ... under the Seed-order template
-    focus N name VAR            ... under the Name-projection template
-    focus N fa FILE             ... under an FA loaded from FILE
-    focus N regex EXPR...       ... under an FA compiled from a regex
-    endfocus                    merge the focus session back
-    refine unordered            sharpen the whole lattice in place by
-    refine seed SYMBOL          apposing a template FA's distinctions
-    rank [N]                    the N most suspicious concepts (deviance)
-    flow                        label-flow analysis of this session's acts
-                                (conflicts, implied/redundant labels)
-    addtraces FILE              fold new traces into the session
-    undo                        undo the last labeling
-    state                       operation counts + labeling progress
-    good [LBL]                  print the FA learned from traces labeled LBL
-    dot FILE                    write the colored lattice as Graphviz dot
-    save FILE                   write "<label>\\t<trace>" lines for all classes
-    savesession FILE            persist the whole session as JSON
-    quit
-
-(Restore a saved session by starting the CLI with ``--session FILE``.)
+Type ``help`` for the commands; the list is generated from the verb
+tables, so it cannot drift from what the CLI accepts.  The Cable verbs
+proper (:data:`repro.cable.verbs.VERBS`) are shared with the HTTP
+service; ``refine``, ``undo``, ``dot``, ``save`` and ``savesession``
+are CLI-only.  Restore a saved session by starting the CLI with
+``--session FILE``.
 
 ``cable lint ...`` dispatches to the static spec-lint subcommand
 (:mod:`repro.analysis.cli`): lint catalog specifications or FA files
@@ -70,25 +47,106 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
+from typing import Any
 
-from repro.cable.session import CableSession, Selection, SelectionError
-from repro.cable.views import lattice_to_dot, render_lattice
+from repro.cable.session import CableSession
+from repro.cable.verbs import TEMPLATE, VERBS, Arg, Result, Stack, Verb
+from repro.cable.verbs import check_args, template_fa, verb
+from repro.cable.views import lattice_to_dot
 from repro.robustness.errors import InputError, ReproError
 from repro.core.trace_clustering import cluster_traces
 from repro.fa.serialization import fa_from_text
-from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
-from repro.lang.traces import TraceSet, parse_trace
+from repro.lang.traces import TraceSet
 from repro.learners.sk_strings import learn_sk_strings
 
+#: The CLI-only commands, in the shape of the shared verbs.
+CLI_ONLY: dict[str, Verb] = {}
+_PATH = Arg("path", "word")
 
-def _parse_selection(token: str | None) -> Selection:
-    if token is None or token == "all":
-        return "all"
-    if token == "unlabeled":
-        return "unlabeled"
-    if token.startswith("="):
-        return ("label", token[1:])
-    raise SelectionError(f"bad selection {token!r} (use all|unlabeled|=LABEL)")
+
+@verb("refine", "sharpen the lattice in place with a template FA (as focus)",
+      *TEMPLATE, table=CLI_ONLY,
+      text=lambda r, a: f"lattice refined: now {r['concepts']} concepts (labels kept)")
+def _refine(stack: Stack, template: str, arg: str | None) -> Result:
+    from repro.cable.refine import refine_session
+
+    if len(stack) > 1:
+        raise InputError("end the focus session before refining")
+    reps = stack[0].clustering.representatives
+    symbols = sorted({str(e) for t in reps for e in t})
+    return {"concepts": refine_session(stack[0], template_fa(symbols, template, arg))}
+
+
+@verb("undo", "undo the last labeling", table=CLI_ONLY,
+      text=lambda r, a: "undone" if r["undone"] else "nothing to undo")
+def _undo(stack: Stack) -> Result:
+    return {"undone": stack[-1].labels.undo()}
+
+
+@verb("dot", "write the colored lattice as Graphviz dot", _PATH, table=CLI_ONLY,
+      text=lambda r, a: f"wrote {a['path']}")
+def _dot(stack: Stack, path: str) -> Result:
+    with open(path, "w") as fh:
+        fh.write(lattice_to_dot(stack[-1]))
+    return {}
+
+
+@verb("save", 'write "<label>\\t<trace>" lines for all classes', _PATH,
+      table=CLI_ONLY, text=lambda r, a: f"wrote {a['path']}")
+def _save(stack: Stack, path: str) -> Result:
+    session = stack[-1]
+    with open(path, "w") as fh:
+        for o, rep in enumerate(session.clustering.representatives):
+            label = session.labels.label_of(o) or "-"
+            fh.write(f"{label}\t{rep}\n")
+    return {}
+
+
+@verb("savesession", "persist the whole session as JSON", _PATH, table=CLI_ONLY,
+      text=lambda r, a: f"session saved to {a['path']}")
+def _savesession(stack: Stack, path: str) -> Result:
+    from repro.cable.persist import save_session
+
+    save_session(stack[-1], path)
+    return {}
+
+
+#: The CLI's commands by the word that runs them.
+COMMANDS = {v.repl_name or v.name: v for v in (*VERBS.values(), *CLI_ONLY.values())}
+HELP = "Commands:\n" + "\n".join(
+    f"    {v.usage():<38}{v.summary}" for v in COMMANDS.values()
+) + "\n    help\n    quit"
+
+
+def repl_args(entry: Verb, words: list[str]) -> dict[str, Any]:
+    """Map command words onto ``entry``'s arguments, in schema order.
+
+    Integers are parsed and files read here: ``addtraces FILE`` and
+    ``focus N fa FILE`` name files where the service sends content.
+    A word that is not an integer stays a string, for
+    :func:`~repro.cable.verbs.check_args` to reject by name.
+    """
+    raw: dict[str, Any] = {}
+    schema = [a for a in entry.args if a.only != "http"]
+    for i, (arg, word) in enumerate(zip(schema, words)):
+        if arg.kind == "text":
+            raw[arg.name] = " ".join(words[i:])
+        elif arg.kind in ("concept", "count"):
+            try:
+                raw[arg.name] = int(word)
+            except ValueError:
+                raw[arg.name] = word
+        elif arg.kind == "flag":
+            raw[arg.name] = word == arg.name
+        elif arg.kind == "traces":
+            with open(word) as fh:
+                raw[arg.name] = [line.strip() for line in fh if line.strip()]
+        else:
+            raw[arg.name] = word
+    if raw.get("template") == "fa" and raw.get("arg"):
+        with open(raw["arg"]) as fh:
+            raw["arg"] = fh.read()
+    return raw
 
 
 class CableCLI:
@@ -112,194 +170,28 @@ class CableCLI:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             return True
-        cmd, *args = parts
+        cmd, *words = parts
+        if cmd in ("quit", "exit"):
+            return False
         try:
-            return self._dispatch(cmd, args)
-        except (
-            ReproError,
-            SelectionError,
-            ValueError,
-            KeyError,
-            IndexError,
-            OSError,
-        ) as exc:
+            self._dispatch(cmd, words)
+        except (ReproError, ValueError, KeyError, IndexError, OSError) as exc:
             # Bad inputs (including corrupt files and over-budget builds)
             # are reported, never fatal: the session stays alive.
             self.emit(f"error: {exc}")
-            return True
-
-    def _dispatch(self, cmd: str, args: list[str]) -> bool:
-        if cmd in ("quit", "exit"):
-            return False
-        if cmd == "help":
-            self.emit(__doc__ or "")
-        elif cmd == "lattice":
-            if args and args[0] == "tree":
-                from repro.cable.views import render_lattice_tree
-
-                self.emit(render_lattice_tree(self.session))
-            else:
-                self.emit(render_lattice(self.session))
-        elif cmd == "inspect":
-            summary = self.session.inspect(int(args[0]))
-            self.emit(summary.render())
-        elif cmd == "fa":
-            which = _parse_selection(args[1] if len(args) > 1 else None)
-            self.emit(self.session.show_fa(int(args[0]), which).pretty())
-        elif cmd == "trans":
-            which = _parse_selection(args[1] if len(args) > 1 else None)
-            for t in self.session.show_transitions(int(args[0]), which):
-                self.emit(f"  {t}")
-        elif cmd == "traces":
-            which = _parse_selection(args[1] if len(args) > 1 else None)
-            for t in self.session.show_traces(int(args[0]), which):
-                self.emit(f"  {t}")
-        elif cmd == "label":
-            which = _parse_selection(args[2] if len(args) > 2 else "unlabeled")
-            n = self.session.label_traces(int(args[0]), args[1], which)
-            self.emit(f"labeled {n} trace class(es) {args[1]!r}")
-        elif cmd == "focus":
-            self._focus(int(args[0]), args[1:])
-        elif cmd == "refine":
-            self._refine(args)
-        elif cmd == "rank":
-            self._rank(int(args[0]) if args else 5)
-        elif cmd == "flow":
-            from repro.analysis.semantic import label_flow_for_session
-
-            result = label_flow_for_session(self.session)
-            self.emit(result.report.render_text())
-            if result.conflicts:
-                self.emit(
-                    f"{len(result.conflicts)} labeling conflict(s) — "
-                    "the label store kept whichever act came last"
-                )
-        elif cmd == "addtraces":
-            self._addtraces(args[0])
-        elif cmd == "savesession":
-            from repro.cable.persist import save_session
-
-            save_session(self.session, args[0])
-            self.emit(f"session saved to {args[0]}")
-        elif cmd == "endfocus":
-            if len(self.stack) == 1:
-                self.emit("error: not in a focus session")
-            else:
-                focused = self.stack.pop()
-                changed = focused.end()  # type: ignore[attr-defined]
-                self.emit(f"focus ended; {changed} label(s) merged back")
-        elif cmd == "undo":
-            self.emit("undone" if self.session.labels.undo() else "nothing to undo")
-        elif cmd == "state":
-            ops = self.session.ops
-            unlabeled = len(self.session.labels.unlabeled())
-            self.emit(
-                f"operations: {ops.total} "
-                f"(inspect {ops.inspections}, label {ops.labelings}); "
-                f"{unlabeled} trace class(es) unlabeled"
-            )
-        elif cmd == "good":
-            label = args[0] if args else "good"
-            self.emit(self.session.check_labeling(label).pretty())
-        elif cmd == "dot":
-            with open(args[0], "w") as fh:
-                fh.write(lattice_to_dot(self.session))
-            self.emit(f"wrote {args[0]}")
-        elif cmd == "save":
-            with open(args[0], "w") as fh:
-                for o, rep in enumerate(self.session.clustering.representatives):
-                    label = self.session.labels.label_of(o) or "-"
-                    fh.write(f"{label}\t{rep}\n")
-            self.emit(f"wrote {args[0]}")
-        else:
-            self.emit(f"error: unknown command {cmd!r} (try help)")
         return True
 
-    def _focus(self, concept: int, args: list[str]) -> None:
-        symbols = sorted(
-            {str(e) for t in self.session.show_traces(concept) for e in t}
-        )
-        kind = args[0] if args else "unordered"
-        if kind == "unordered":
-            fa = unordered_fa(symbols)
-        elif kind == "seed":
-            fa = seed_order_fa(symbols, args[1])
-        elif kind == "name":
-            fa = name_projection_fa(symbols, args[1])
-        elif kind == "fa":
-            with open(args[1]) as fh:
-                fa = fa_from_text(fh.read())
-        elif kind == "regex":
-            from repro.fa.regex import compile_regex
-
-            fa = compile_regex(" ".join(args[1:]))
-        else:
-            raise InputError("unknown focus template", template=kind)
-        focused = self.session.focus(concept, fa)
-        if focused.unclustered:
-            self.emit(
-                f"note: {len(focused.unclustered)} trace class(es) rejected "
-                "by the focus FA stay with the parent session"
-            )
-        self.stack.append(focused)
-        self.emit(
-            f"focused on concept {concept} "
-            f"({len(focused.clustering.representatives)} trace classes, "
-            f"{len(focused.lattice)} concepts)"
-        )
-
-    def _template_fa(self, args: list[str]):
-        symbols = sorted(
-            {str(e) for t in self.session.clustering.representatives for e in t}
-        )
-        kind = args[0] if args else "unordered"
-        if kind == "unordered":
-            return unordered_fa(symbols)
-        if kind == "seed":
-            return seed_order_fa(symbols, args[1])
-        if kind == "name":
-            return name_projection_fa(symbols, args[1])
-        raise ValueError(f"unknown template {kind!r}")
-
-    def _refine(self, args: list[str]) -> None:
-        from repro.cable.refine import refine_session
-
-        if len(self.stack) > 1:
-            raise ValueError("end the focus session before refining")
-        concepts = refine_session(self.session, self._template_fa(args))
-        self.emit(f"lattice refined: now {concepts} concepts (labels kept)")
-
-    def _rank(self, count: int) -> None:
-        from repro.rank.scores import concept_scores
-
-        scores = concept_scores(self.session.clustering)
-        lattice = self.session.lattice
-        ranked = sorted(
-            (c for c in lattice if lattice.extent(c)),
-            key=lambda c: (-scores[c], c),
-        )
-        self.emit("most suspicious concepts (deviance score):")
-        for c in ranked[:count]:
-            state = self.session.concept_state(c)
-            self.emit(
-                f"  #{c:<4d} score={scores[c]:.3f} "
-                f"traces={len(lattice.extent(c)):<4d} [{state.name}]"
-            )
-
-    def _addtraces(self, path: str) -> None:
-        if len(self.stack) > 1:
-            raise ValueError("end the focus session before adding traces")
-        with open(path) as fh:
-            texts = [line.strip() for line in fh if line.strip()]
-        traces = [
-            parse_trace(text, trace_id=f"added{i}").standardize_names()
-            for i, text in enumerate(texts)
-        ]
-        added = self.session.add_traces(traces)
-        self.emit(
-            f"added {len(traces)} trace(s): {added} new class(es), "
-            f"lattice now has {len(self.session.lattice)} concepts"
-        )
+    def _dispatch(self, cmd: str, words: list[str]) -> None:
+        if cmd == "help":
+            self.emit(HELP)
+            return
+        entry = COMMANDS.get(cmd)
+        if entry is None:
+            raise InputError(f"unknown command {cmd!r} (try help)")
+        args = check_args(entry.name, entry.args, repl_args(entry, words))
+        text = entry.text(entry.handler(self.stack, **args), args)
+        if text:
+            self.emit(text)
 
     def run(self, lines: Iterable[str]) -> None:
         for line in lines:
@@ -447,6 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         print(__doc__, file=sys.stderr)
+        print(HELP, file=sys.stderr)
         return 0 if argv else 2
     restored_from: str | None = None
     recovery_warnings: list[str] = []

@@ -1,10 +1,10 @@
 """The Cable verb set as JSON request handlers.
 
 :class:`SessionService` translates between JSON payloads and the
-:class:`~repro.cable.session.CableSession` API — one method per Cable
-verb (inspect, label, fa, transitions, traces, flow, focus, endfocus,
-addtraces, save, state, good, rank, lattice), plus the spec-level
-``diff``.  It is transport-agnostic: the HTTP server calls
+:class:`~repro.cable.session.CableSession` API.  The Cable verbs come
+from the verb table the REPL also runs (:mod:`repro.cable.verbs`); the
+service adds ``save`` and ``suspend`` (session persistence) and the
+spec-level ``diff``.  It is transport-agnostic: the HTTP server calls
 :meth:`handle_verb` from a request thread, the tests call it directly,
 and every verb runs inside :meth:`SessionManager.run` so one session's
 verbs serialize while distinct sessions proceed in parallel.
@@ -25,119 +25,23 @@ from __future__ import annotations
 from typing import Any
 
 from repro import obs
+from repro.cable import verbs
 from repro.cable.persist import save_session
-from repro.cable.session import Selection, SelectionError
-from repro.cable.views import render_lattice
 from repro.fa.serialization import fa_from_text
-from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
-from repro.lang.traces import parse_trace
-from repro.parallel.pool import FAULT_MODES
-from repro.robustness.budget import Budget
 from repro.robustness.errors import InputError
 from repro.service.lifecycle import SessionRecord
 from repro.service.manager import SessionManager
 
-#: The verbs :meth:`SessionService.handle_verb` dispatches.
-VERBS = (
-    "inspect",
-    "lattice",
-    "label",
-    "fa",
-    "transitions",
-    "traces",
-    "flow",
-    "focus",
-    "endfocus",
-    "addtraces",
-    "save",
-    "suspend",
-    "state",
-    "good",
-    "rank",
-)
+#: The verbs :meth:`SessionService.handle_verb` dispatches: the shared
+#: Cable verbs plus the service's own ``save`` and ``suspend``.
+VERBS = (*verbs.VERBS, "save", "suspend")
 
-
-def parse_budget(raw: Any) -> Budget | None:
-    """A ``Budget`` from its JSON form (``None`` passes through)."""
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise InputError(
-            "budget must be an object with wall_seconds/max_concepts/"
-            "max_objects",
-            budget=repr(raw),
-        )
-    allowed = {"wall_seconds", "max_concepts", "max_objects"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise InputError(
-            "unknown budget field(s)", fields=sorted(unknown)
-        )
-    try:
-        return Budget(**{k: raw[k] for k in allowed if k in raw})
-    except ValueError as exc:
-        raise InputError("bad budget", reason=str(exc)) from exc
-
-
-def parse_selection(raw: Any, default: str = "all") -> Selection:
-    """A selection from its JSON form: ``"all"``, ``"unlabeled"``, or
-    ``"=LABEL"`` (matching the CLI's grammar)."""
-    if raw is None:
-        return default
-    if raw in ("all", "unlabeled"):
-        return raw
-    if isinstance(raw, str) and raw.startswith("="):
-        return ("label", raw[1:])
-    raise SelectionError(
-        f"bad selection {raw!r} (use all|unlabeled|=LABEL)"
-    )
-
-
-def _supervision(payload: dict[str, Any]) -> dict[str, Any]:
-    """Extract the per-request supervision knobs from a payload."""
-    on_fault = payload.get("on_fault")
-    if on_fault is not None and on_fault not in FAULT_MODES:
-        raise InputError(
-            "on_fault must be one of: " + ", ".join(FAULT_MODES),
-            on_fault=on_fault,
-        )
-    task_timeout = payload.get("task_timeout")
-    if task_timeout is not None and (
-        not isinstance(task_timeout, (int, float)) or task_timeout <= 0
-    ):
-        raise InputError(
-            "task_timeout must be a positive number",
-            task_timeout=task_timeout,
-        )
-    return {
-        "budget": parse_budget(payload.get("budget")),
-        "task_timeout": task_timeout,
-        "on_fault": on_fault,
-    }
-
-
-def _session_id(payload: dict[str, Any]) -> str | None:
-    """The optional ``session`` id from a payload, type-checked.
-
-    Anything non-string would otherwise surface as a ``TypeError``
-    deep in the manager's id validation — outside the error taxonomy,
-    so the connection would drop with no HTTP response at all.
-    """
-    session = payload.get("session")
-    if session is not None and not isinstance(session, str):
-        raise InputError(
-            "'session' must be a string id", session=repr(session)
-        )
-    return session
-
-
-def _concept(payload: dict[str, Any]) -> int:
-    concept = payload.get("concept")
-    if not isinstance(concept, int) or isinstance(concept, bool):
-        raise InputError(
-            "request needs an integer 'concept'", concept=repr(concept)
-        )
-    return concept
+#: The payload schemas of the service's own endpoints.
+_SESSION = verbs.Arg("session", "text", None)
+_CREATE = (verbs.Arg("traces", "traces"), verbs.Arg("fa", "text", None), _SESSION,
+           *verbs.SUPERVISION)
+_ATTACH = (verbs.Arg("path", "word"), _SESSION)
+_SAVE = (verbs.Arg("path", "text", None),)
 
 
 class SessionService:
@@ -152,23 +56,12 @@ class SessionService:
 
     def create(self, payload: dict[str, Any]) -> dict[str, Any]:
         """``POST /sessions`` — cluster traces into a new session."""
-        traces = payload.get("traces")
-        if not isinstance(traces, list) or not all(
-            isinstance(t, str) for t in traces
-        ):
-            raise InputError(
-                "create needs 'traces': a list of trace strings"
-            )
-        fa_text = payload.get("fa")
-        if fa_text is not None and not isinstance(fa_text, str):
-            raise InputError(
-                "create 'fa' must be FA text (a string)", fa=repr(fa_text)
-            )
+        args = verbs.check_args("create", _CREATE, payload)
         record = self.manager.create(
-            traces,
-            fa_text,
-            session_id=_session_id(payload),
-            **_supervision(payload),
+            args.pop("traces"),
+            args.pop("fa"),
+            session_id=args.pop("session"),
+            **args,
         )
         return self.manager.info(record.session_id)
 
@@ -179,12 +72,8 @@ class SessionService:
         server attaching sessions must see them in the JSON, not on a
         stderr nobody reads.
         """
-        path = payload.get("path")
-        if not isinstance(path, str) or not path:
-            raise InputError("attach needs 'path': a session file path")
-        record = self.manager.attach(
-            path, session_id=_session_id(payload)
-        )
+        args = verbs.check_args("attach", _ATTACH, payload)
+        record = self.manager.attach(args["path"], session_id=args["session"])
         return self.manager.info(record.session_id)
 
     def list_sessions(self) -> dict[str, Any]:
@@ -204,9 +93,12 @@ class SessionService:
     def handle_verb(
         self, session_id: str, verb: str, payload: dict[str, Any]
     ) -> dict[str, Any]:
-        """Dispatch one Cable verb inside the session's lock."""
-        handler = getattr(self, f"_verb_{verb}", None)
-        if verb not in VERBS or handler is None:
+        """Dispatch one Cable verb inside the session's lock.
+
+        Shared verbs come from :data:`repro.cable.verbs.VERBS`; their
+        arguments are checked against the same schema the REPL uses.
+        """
+        if verb not in VERBS:
             raise InputError(
                 "unknown verb", verb=verb, known=list(VERBS)
             )
@@ -214,189 +106,22 @@ class SessionService:
             if verb == "suspend":
                 # Suspension takes the store's eviction path, not the
                 # run() path (run would mark the session busy).
-                return handler(session_id, payload)
+                suspended = self.manager.suspend(session_id)
+                return {"session": session_id, "suspended": suspended}
+            if verb == "save":
+                return self.manager.run(
+                    session_id, lambda record: self._save(record, payload)
+                )
+            shared = verbs.VERBS[verb]
+            raw = {a.name: payload.get(a.name) for a in shared.args if a.only != "repl"}
             return self.manager.run(
-                session_id, lambda record: handler(record, payload)
+                session_id,
+                lambda record: shared.handler(
+                    record.stack, **verbs.check_args(verb, shared.args, raw)
+                ),
             )
 
-    def _verb_suspend(
-        self, session_id: str, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        suspended = self.manager.suspend(session_id)
-        return {"session": session_id, "suspended": suspended}
-
-    def _verb_inspect(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        summary = record.current.inspect(_concept(payload))
-        return {
-            "concept": summary.concept,
-            "state": summary.state.name,
-            "color": summary.state.color,
-            "num_traces": summary.num_traces,
-            "num_unlabeled": summary.num_unlabeled,
-            "labels_present": sorted(summary.labels_present),
-            "similarity": summary.similarity,
-            "transitions": list(summary.transitions),
-            "children": sorted(summary.children),
-            "parents": sorted(summary.parents),
-        }
-
-    def _verb_lattice(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        session = record.current
-        concepts = [
-            {
-                "concept": c,
-                "state": session.concept_state(c).name,
-                "extent": len(session.lattice.extent(c)),
-            }
-            for c in session.lattice
-        ]
-        return {
-            "concepts": concepts,
-            "rendered": render_lattice(session),
-            "focused": record.focused,
-        }
-
-    def _verb_label(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        label = payload.get("label")
-        if not isinstance(label, str) or not label:
-            raise InputError("label verb needs a non-empty 'label'")
-        which = parse_selection(payload.get("which"), default="unlabeled")
-        labeled = record.current.label_traces(
-            _concept(payload), label, which
-        )
-        return {"labeled": labeled, "done": record.current.done()}
-
-    def _verb_fa(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        which = parse_selection(payload.get("which"))
-        fa = record.current.show_fa(_concept(payload), which)
-        return {"fa": fa.pretty()}
-
-    def _verb_transitions(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        which = parse_selection(payload.get("which"))
-        return {
-            "transitions": record.current.show_transitions(
-                _concept(payload), which
-            )
-        }
-
-    def _verb_traces(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        which = parse_selection(payload.get("which"))
-        return {
-            "traces": [
-                str(t)
-                for t in record.current.show_traces(
-                    _concept(payload), which
-                )
-            ]
-        }
-
-    def _verb_flow(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        from repro.analysis.semantic import label_flow_for_session
-
-        result = label_flow_for_session(
-            record.current, budget=parse_budget(payload.get("budget"))
-        )
-        return {"conflicts": len(result.conflicts), "flow": result.to_dict()}
-
-    def _verb_focus(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        concept = _concept(payload)
-        template = payload.get("template", "unordered")
-        arg = payload.get("arg")
-        session = record.current
-        symbols = sorted(
-            {str(e) for t in session.show_traces(concept) for e in t}
-        )
-        if template == "unordered":
-            fa = unordered_fa(symbols)
-        elif template == "seed":
-            fa = seed_order_fa(symbols, str(arg))
-        elif template == "name":
-            fa = name_projection_fa(symbols, str(arg))
-        elif template == "fa":
-            if not isinstance(arg, str) or not arg:
-                raise InputError("focus template 'fa' needs FA text in 'arg'")
-            fa = fa_from_text(arg)
-        elif template == "regex":
-            from repro.fa.regex import compile_regex
-
-            if not isinstance(arg, str) or not arg:
-                raise InputError(
-                    "focus template 'regex' needs an expression in 'arg'"
-                )
-            fa = compile_regex(arg)
-        else:
-            raise InputError("unknown focus template", template=template)
-        focused = session.focus(concept, fa)
-        record.stack.append(focused)
-        return {
-            "depth": len(record.stack) - 1,
-            "classes": focused.clustering.num_objects,
-            "concepts": len(focused.lattice),
-            "unclustered": len(focused.unclustered),
-        }
-
-    def _verb_endfocus(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        if not record.focused:
-            raise InputError(
-                "not in a focus session", session=record.session_id
-            )
-        focused = record.stack.pop()
-        merged = focused.end()
-        return {"merged": merged, "depth": len(record.stack) - 1}
-
-    def _verb_addtraces(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        if record.focused:
-            raise InputError(
-                "end the focus session before adding traces",
-                session=record.session_id,
-            )
-        raw = payload.get("traces")
-        if not isinstance(raw, list) or not all(
-            isinstance(t, str) for t in raw
-        ):
-            raise InputError(
-                "addtraces needs 'traces': a list of trace strings"
-            )
-        session = record.session
-        base = session.clustering.num_objects
-        traces = [
-            parse_trace(text, trace_id=f"added{base + i}").standardize_names()
-            for i, text in enumerate(raw)
-        ]
-        supervision = _supervision(payload)
-        added = session.add_traces(
-            traces,
-            budget=supervision["budget"],
-            task_timeout=supervision["task_timeout"],
-            on_fault=supervision["on_fault"],
-        )
-        return {
-            "added": added,
-            "classes": session.clustering.num_objects,
-            "concepts": len(session.lattice),
-        }
-
-    def _verb_save(
+    def _save(
         self, record: SessionRecord, payload: dict[str, Any]
     ) -> dict[str, Any]:
         if record.focused:
@@ -404,9 +129,7 @@ class SessionService:
                 "end the focus session before saving",
                 session=record.session_id,
             )
-        path = payload.get("path")
-        if path is not None and not isinstance(path, str):
-            raise InputError("save 'path' must be a string", path=repr(path))
+        path = verbs.check_args("save", _SAVE, payload)["path"]
         if path is None:
             target = record.path
         else:
@@ -415,58 +138,6 @@ class SessionService:
             target = self.manager.resolve_user_path(path)
         save_session(record.session, target)
         return {"saved": str(target)}
-
-    def _verb_state(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        session = record.current
-        return {
-            "operations": {
-                "total": session.ops.total,
-                "inspections": session.ops.inspections,
-                "labelings": session.ops.labelings,
-            },
-            "unlabeled": len(session.labels.unlabeled()),
-            "classes": session.clustering.num_objects,
-            "concepts": len(session.lattice),
-            "done": session.done(),
-            "focused": record.focused,
-        }
-
-    def _verb_good(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        label = payload.get("label", "good")
-        if not isinstance(label, str) or not label:
-            raise InputError("good verb needs a string 'label'")
-        return {"fa": record.current.check_labeling(label).pretty()}
-
-    def _verb_rank(
-        self, record: SessionRecord, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        from repro.rank.scores import concept_scores
-
-        count = payload.get("count", 5)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise InputError("rank 'count' must be a positive integer")
-        session = record.current
-        scores = concept_scores(session.clustering)
-        lattice = session.lattice
-        ranked = sorted(
-            (c for c in lattice if lattice.extent(c)),
-            key=lambda c: (-scores[c], c),
-        )
-        return {
-            "ranked": [
-                {
-                    "concept": c,
-                    "score": scores[c],
-                    "traces": len(lattice.extent(c)),
-                    "state": session.concept_state(c).name,
-                }
-                for c in ranked[:count]
-            ]
-        }
 
     # ------------------------------------------------------------------ #
     # spec-level diff (no session involved)
@@ -514,6 +185,4 @@ def _diff_operand(payload: dict[str, Any], side: str) -> tuple[str, Any]:
 __all__ = [
     "SessionService",
     "VERBS",
-    "parse_budget",
-    "parse_selection",
 ]

@@ -121,17 +121,6 @@ class SessionRecord:
         return self.stack[0]
 
     @property
-    def current(self) -> "CableSession":
-        """The session verbs act on: the innermost open focus, else root."""
-        if not self.stack:
-            raise LifecycleError(
-                "session is not resident",
-                session=self.session_id,
-                state=self.state.value,
-            )
-        return self.stack[-1]
-
-    @property
     def resident(self) -> bool:
         return self.state in RESIDENT_STATES
 

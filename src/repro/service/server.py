@@ -44,7 +44,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro import obs
-from repro.cable.session import SelectionError
 from repro.obs.promtext import render_prometheus
 from repro.robustness.errors import (
     BudgetExceeded,
@@ -85,7 +84,7 @@ def status_for(exc: BaseException) -> int:
         return 409
     if isinstance(exc, TaskTimeout):
         return 504
-    if isinstance(exc, (InputError, SelectionError, ValueError)):
+    if isinstance(exc, (InputError, ValueError)):
         return 400
     return 500
 
@@ -127,14 +126,16 @@ class CableRequestHandler(BaseHTTPRequestHandler):
         route = "?"
         try:
             route, result, status = self._route(method)
-            self._respond(status, result)
+            # Count before responding: a client that has its response
+            # may scrape /metrics next and must see this request.
             obs.inc("service.requests")
-        except (ReproError, SelectionError, ValueError) as exc:
+            self._respond(status, result)
+        except (ReproError, ValueError) as exc:
             status = status_for(exc)
-            self._respond(status, error_body(exc), retry=status == 503)
             obs.inc("service.requests")
             obs.inc("service.errors")
             obs.inc(f"service.errors.{type(exc).__name__}")
+            self._respond(status, error_body(exc), retry=status == 503)
         finally:
             elapsed = time.monotonic() - started
             obs.observe("service.request_seconds", elapsed)

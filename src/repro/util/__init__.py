@@ -1,7 +1,6 @@
-"""Small shared utilities: ASCII tables, deterministic RNG helpers, timers."""
+"""Small shared utilities: ASCII tables and deterministic RNG helpers."""
 
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.tables import format_table
-from repro.util.timing import Stopwatch
 
-__all__ = ["format_table", "make_rng", "spawn_rngs", "Stopwatch"]
+__all__ = ["format_table", "make_rng", "spawn_rngs"]

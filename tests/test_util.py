@@ -1,12 +1,9 @@
-"""Table formatting, deterministic RNG, stopwatch."""
-
-import time
+"""Table formatting, deterministic RNG."""
 
 import pytest
 
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.tables import format_table
-from repro.util.timing import Stopwatch
 
 
 class TestTables:
@@ -58,19 +55,3 @@ class TestRng:
         a = [r.random() for r in spawn_rngs("s", 2)]
         b = [r.random() for r in spawn_rngs("s", 2)]
         assert a == b
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first >= 0.01
-
-    def test_exit_without_enter(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            sw.__exit__(None, None, None)
