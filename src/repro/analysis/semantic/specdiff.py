@@ -17,22 +17,24 @@ SEM001 error    witness trace accepted by the left spec only
 SEM002 error    witness trace accepted by the right spec only
 SEM003 warning  symbol occurs in accepted strings of exactly one side
 SEM004 warning  semantically dead transition: removing it leaves the
-                language unchanged (checked against the minimized
-                quotient; distinct from FA003's reachability-dead case)
+                language unchanged (one subset construction certifies
+                the necessary ones; the rest get an early-exit product
+                search; distinct from FA003's reachability-dead case)
 SEM005 info     the two languages are equal
 SEM006 info     strict containment (one language refines the other)
 ====== ======== ==========================================================
 
-Everything is span-instrumented (``semantic.diff``) and budget-aware:
-pass a :class:`~repro.robustness.budget.Budget` and the per-transition
-equivalence checks raise
+Everything is span-instrumented (``semantic.diff``, with the SEM004
+counters ``semantic.dead.candidates``/``certified``/``checks``) and
+budget-aware: pass a :class:`~repro.robustness.budget.Budget` and the
+per-candidate SEM004 searches raise
 :class:`~repro.robustness.errors.BudgetExceeded` (carrying the dead
 transitions found so far as checkpoint) when the wall clock trips.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -40,10 +42,10 @@ from repro import obs
 from repro.analysis.diagnostics import Diagnostic, LintReport, Location
 from repro.fa.automaton import FA, State
 from repro.fa.ops import (
+    Subsets,
     _moore_minimize,
     dfa_from_fa,
-    dfa_to_fa,
-    language_subset,
+    shortest_difference,
     subset_counterexample,
 )
 from repro.robustness.budget import Budget
@@ -83,46 +85,67 @@ def semantically_dead_transitions(
     A transition can be reachability-live (FA003 does not fire) yet
     contribute nothing to the language because every string it helps
     accept has another accepting path.  Candidates are the
-    reachability-live transitions; each is confirmed by mapping the FA
-    onto its minimized quotient and checking that the quotient language
-    survives the removal (``L(min(fa)) ⊆ L(fa - t)``; the reverse
-    inclusion is free since removal only shrinks an NFA's language).
+    reachability-live transitions, decided from one subset construction
+    of the FA:
 
-    ``budget`` bounds the per-transition product checks by wall clock;
-    on a trip, :class:`~repro.robustness.errors.BudgetExceeded` carries
-    the indices confirmed so far as its checkpoint.
+    * a candidate ``t = (p, a, r)`` that is the only ``a``-move out of
+      some reachable subset is *certified* necessary — if ``u`` reaches
+      that subset and ``v`` leads from ``r`` to acceptance, ``u·a·v`` is
+      accepted, while in ``fa - t`` the prefix ``u·a`` reaches the empty
+      set.  Every live transition of a DFA is certified this way;
+    * each remaining candidate is dead iff an early-exit search over
+      pairs (subset of ``fa``, subset of ``fa - t``) finds no string
+      accepted on the left only (``L(fa) ⊆ L(fa - t)``; the reverse
+      inclusion is free since removal only shrinks an NFA's language).
+
+    ``budget`` bounds the per-candidate searches by wall clock; on a
+    trip, :class:`~repro.robustness.errors.BudgetExceeded` carries the
+    indices confirmed so far as its checkpoint.
     """
+    return _dead_sweep(fa, budget)[0]
+
+
+def _dead_sweep(
+    fa: FA, budget: Budget | None
+) -> tuple[list[int], Counter[str]]:
+    """The SEM004 sweep plus its candidate/certified/check counts."""
     # Imported here to reuse lint's reachability helper without making
     # the two pass modules import each other at module load.
     from repro.analysis.fa_passes import live_transitions
 
     candidates = sorted(live_transitions(fa))
-    if not candidates:
-        return []
-    dfa = dfa_from_fa(fa)
-    quotient = dfa_to_fa(_moore_minimize(dfa, dfa.alphabet()))
+    subsets = Subsets(fa)
+    subsets.explore()
+    certified = subsets.sole.intersection(candidates)
+    remaining = [i for i in candidates if i not in certified]
+    counts = Counter(
+        candidates=len(candidates), certified=len(certified), checks=0
+    )
     meter = budget.meter() if budget is not None else None
     dead: list[int] = []
-    for checked, index in enumerate(candidates):
-        if meter is not None:
-            violation = meter.violation(num_objects=checked, num_concepts=0)
-            if violation is not None:
-                dimension, limit, value = violation
-                raise BudgetExceeded(
-                    "semantic dead-transition analysis ran over budget",
-                    checkpoint=dead,
-                    dimension=dimension,
-                    limit=limit,
-                    value=value,
-                    checked=checked,
-                    candidates=len(candidates),
-                )
-        pruned = fa.with_transitions(
-            [t for j, t in enumerate(fa.transitions) if j != index]
-        )
-        if language_subset(quotient, pruned):
-            dead.append(index)
-    return dead
+    try:
+        for checked, index in enumerate(remaining):
+            if meter is not None:
+                violation = meter.violation(num_objects=checked, num_concepts=0)
+                if violation is not None:
+                    dimension, limit, value = violation
+                    raise BudgetExceeded(
+                        "semantic dead-transition analysis ran over budget",
+                        checkpoint=dead,
+                        dimension=dimension,
+                        limit=limit,
+                        value=value,
+                        checked=checked,
+                        candidates=len(candidates),
+                        certified=len(certified),
+                    )
+            counts["checks"] += 1
+            if shortest_difference(subsets, subsets.without(index)) is None:
+                dead.append(index)
+    finally:
+        for name, value in counts.items():
+            obs.inc(f"semantic.dead.{name}", value)
+    return dead, counts
 
 
 def run_semantic_fa_passes(
@@ -163,7 +186,8 @@ def shortest_accepting_completion(
     shortest way the lifecycle *could* have ended correctly — to each
     violation explanation.
     """
-    starts = [s for s in fa.states if s in set(start_states)]
+    start_set = set(start_states)
+    starts = [s for s in fa.states if s in start_set]
     if any(s in fa.accepting for s in starts):
         return ()
     back: dict[State, tuple[State, str]] = {}
@@ -335,8 +359,11 @@ def diff_fas(
             )
 
         if dead_transitions:
+            totals: Counter[str] = Counter()
             for side, fa in ((left, left_fa), (right, right_fa)):
-                for index in semantically_dead_transitions(fa, budget=budget):
+                dead, counts = _dead_sweep(fa, budget)
+                totals.update(counts)
+                for index in dead:
                     diagnostics.append(
                         Diagnostic(
                             code="SEM004",
@@ -350,6 +377,7 @@ def diff_fas(
                             ),
                         )
                     )
+            span.set(**{f"dead_{name}": n for name, n in totals.items()})
 
         if relation == "equal":
             diagnostics.append(

@@ -157,6 +157,7 @@ CHECKS: dict[str, Callable[[str, Any], Any]] = {
         "a list of trace strings",
     ),
     "flag": lambda name, raw: bool(raw),
+    "bool": _checked(lambda v: isinstance(v, bool), "true or false"),
     "budget": lambda name, raw: parse_budget(raw),
     "timeout": _checked(
         lambda v: v is None or (isinstance(v, (int, float)) and v > 0),

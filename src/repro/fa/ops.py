@@ -12,8 +12,11 @@ This module provides the standard constructions on that view:
   :func:`symbol_complement`,
 * :func:`language_equal`, :func:`language_subset`, :func:`is_empty` —
   with an optional ``witness=True`` mode returning a shortest
-  counterexample string (the BFS over the product that
-  :mod:`repro.analysis.semantic` turns into witness traces),
+  counterexample string,
+* :func:`shortest_difference`, the one inclusion kernel behind them: an
+  early-exit BFS over pairs of lazily built :class:`Subsets` (the
+  search :mod:`repro.analysis.semantic` turns into witness traces and
+  uses to decide semantically dead transitions),
 * :func:`accepted_strings_upto` for exhaustive small-language tests
   (with a result-count cap for dense alphabets).
 
@@ -24,6 +27,7 @@ conversions :func:`dfa_from_fa` / :func:`dfa_to_fa` bridge to
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -88,37 +92,86 @@ class SymbolicDFA:
         return SymbolicDFA(len(order), 0, accepting, delta)
 
 
+class Subsets:
+    """Lazy subset construction of an FA over its label strings.
+
+    A state of the determinized automaton is a frozenset of NFA state
+    indices; :meth:`moves` computes a subset's successors on first use
+    and caches them, so a search that stops early never builds the rest
+    of the automaton.  :meth:`without` gives the construction for the FA
+    minus one transition, sharing the labels (each pattern is rendered
+    once).  ``sole`` collects every transition that is the only move on
+    its symbol out of some subset expanded so far.
+    """
+
+    def __init__(self, fa: FA) -> None:
+        state_index = {s: i for i, s in enumerate(fa.states)}
+        self._labels = [str(t.pattern) for t in fa.transitions]
+        self._src = [state_index[t.src] for t in fa.transitions]
+        self._dst = [state_index[t.dst] for t in fa.transitions]
+        self._out: list[list[int]] = [[] for _ in fa.states]
+        for index, t in enumerate(fa.transitions):
+            self._out[state_index[t.src]].append(index)
+        self.start = frozenset(state_index[s] for s in fa.initial)
+        self._accepting = frozenset(state_index[s] for s in fa.accepting)
+        self._moves: dict[frozenset[int], dict[str, frozenset[int]]] = {}
+        self.sole: set[int] = set()
+
+    def without(self, index: int) -> "Subsets":
+        """The construction for this FA with transition ``index`` removed."""
+        pruned = copy.copy(self)
+        src = self._src[index]
+        pruned._out = list(self._out)
+        pruned._out[src] = [i for i in self._out[src] if i != index]
+        pruned._moves = {}
+        pruned.sole = set()
+        return pruned
+
+    def accepts(self, subset: frozenset[int]) -> bool:
+        return not self._accepting.isdisjoint(subset)
+
+    def moves(self, subset: frozenset[int]) -> dict[str, frozenset[int]]:
+        """Successor subset per symbol, in sorted symbol order."""
+        cached = self._moves.get(subset)
+        if cached is not None:
+            return cached
+        by_symbol: dict[str, list[int]] = {}
+        for state in subset:
+            for index in self._out[state]:
+                by_symbol.setdefault(self._labels[index], []).append(index)
+        moves: dict[str, frozenset[int]] = {}
+        for sym in sorted(by_symbol):
+            indices = by_symbol[sym]
+            if len(indices) == 1:
+                self.sole.add(indices[0])
+            moves[sym] = frozenset(self._dst[i] for i in indices)
+        self._moves[subset] = moves
+        return moves
+
+    def explore(self) -> list[frozenset[int]]:
+        """Every reachable subset, in BFS order from the start subset."""
+        order = [self.start]
+        seen = {self.start}
+        for subset in order:
+            for target in self.moves(subset).values():
+                if target not in seen:
+                    seen.add(target)
+                    order.append(target)
+        return order
+
+
 def dfa_from_fa(fa: FA) -> SymbolicDFA:
     """Determinize ``fa`` treating each distinct label string as a symbol."""
-    states = list(fa.states)
-    state_index = {s: i for i, s in enumerate(states)}
-    edges: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(states))}
-    for t in fa.transitions:
-        edges[state_index[t.src]].append((str(t.pattern), state_index[t.dst]))
-
-    start = frozenset(state_index[s] for s in fa.initial)
-    accepting_nfa = frozenset(state_index[s] for s in fa.accepting)
-
-    subset_index: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    delta: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = subset_index[subset]
-        by_symbol: dict[str, set[int]] = {}
-        for nfa_state in subset:
-            for sym, dst in edges[nfa_state]:
-                by_symbol.setdefault(sym, set()).add(dst)
-        for sym, dsts in sorted(by_symbol.items()):
-            target = frozenset(dsts)
-            if target not in subset_index:
-                subset_index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            delta[(src, sym)] = subset_index[target]
+    subsets = Subsets(fa)
+    order = subsets.explore()
+    subset_index = {subset: i for i, subset in enumerate(order)}
+    delta = {
+        (src, sym): subset_index[target]
+        for src, subset in enumerate(order)
+        for sym, target in subsets.moves(subset).items()
+    }
     accepting = frozenset(
-        i for i, subset in enumerate(order) if subset & accepting_nfa
+        i for i, subset in enumerate(order) if subsets.accepts(subset)
     )
     return SymbolicDFA(len(order), 0, accepting, delta)
 
@@ -274,56 +327,52 @@ def is_empty(fa: FA) -> bool:
     return not dfa.accepting
 
 
-def shortest_accepted(dfa: SymbolicDFA) -> tuple[str, ...] | None:
-    """A shortest accepted symbol string of ``dfa`` (``None`` if empty).
+def shortest_difference(
+    left: Subsets, right: Subsets
+) -> tuple[str, ...] | None:
+    """A shortest string accepted by ``left`` but not ``right``, or ``None``.
 
-    BFS from the initial state, so the returned string has minimal
-    length; ties are broken toward the lexicographically smallest symbol
-    at each step (the sorted successor order), making the result
-    deterministic — which is what keeps witness-based diagnostic
-    fingerprints stable across runs.
+    BFS over pairs of subsets reached by the same string, both built on
+    the fly, stopping at the first pair that accepts on the left only.
+    Successors are expanded in sorted symbol order, so ties go to the
+    lexicographically smallest symbol at each step — which is what
+    keeps witness-based diagnostic fingerprints stable across runs.
+    Only the left side's moves are followed: a string that leaves it
+    cannot accept on the left.
     """
-    if dfa.initial in dfa.accepting:
+    start = (left.start, right.start)
+    if left.accepts(left.start) and not right.accepts(right.start):
         return ()
-    succ: dict[int, list[tuple[str, int]]] = {}
-    for (src, sym), dst in sorted(dfa.delta.items()):
-        succ.setdefault(src, []).append((sym, dst))
-    back: dict[int, tuple[int, str]] = {}
-    queue = deque([dfa.initial])
-    seen = {dfa.initial}
+    back: dict[tuple[frozenset[int], frozenset[int]], tuple] = {start: ()}
+    queue = deque([start])
+    empty: frozenset[int] = frozenset()
     while queue:
-        state = queue.popleft()
-        for sym, dst in succ.get(state, []):
-            if dst in seen:
+        pair = queue.popleft()
+        right_moves = right.moves(pair[1])
+        for sym, left_dst in left.moves(pair[0]).items():
+            target = (left_dst, right_moves.get(sym, empty))
+            if target in back:
                 continue
-            seen.add(dst)
-            back[dst] = (state, sym)
-            if dst in dfa.accepting:
+            back[target] = (pair, sym)
+            if left.accepts(target[0]) and not right.accepts(target[1]):
                 symbols: list[str] = []
-                node = dst
-                while node != dfa.initial:
+                node = target
+                while node != start:
                     node, sym = back[node]
                     symbols.append(sym)
                 return tuple(reversed(symbols))
-            queue.append(dst)
+            queue.append(target)
     return None
-
-
-def _difference_dfa(fa1: FA, fa2: FA) -> SymbolicDFA:
-    """DFA for L(fa1) \\ L(fa2) over the union of the two alphabets."""
-    a, b = dfa_from_fa(fa1), dfa_from_fa(fa2)
-    alphabet = a.alphabet() | b.alphabet()
-    return _product(a, b, lambda x, y: x and not y, alphabet)
 
 
 def subset_counterexample(fa1: FA, fa2: FA) -> tuple[str, ...] | None:
     """A shortest string in L(fa1) \\ L(fa2), or ``None`` when L(fa1) ⊆ L(fa2).
 
-    The witness half of :func:`language_subset`: BFS over the product of
-    ``fa1`` with the complement of ``fa2``, so the counterexample is as
-    short as the disagreement allows.
+    The witness half of :func:`language_subset`: an early-exit BFS over
+    the product of ``fa1`` with the complement of ``fa2``, so the
+    counterexample is as short as the disagreement allows.
     """
-    return shortest_accepted(_difference_dfa(fa1, fa2).reachable())
+    return shortest_difference(Subsets(fa1), Subsets(fa2))
 
 
 def language_subset(
@@ -335,11 +384,8 @@ def language_subset(
     ``counterexample`` is a shortest symbol string accepted by ``fa1``
     but not ``fa2`` (``None`` exactly when the inclusion holds).
     """
-    if witness:
-        cx = subset_counterexample(fa1, fa2)
-        return (cx is None, cx)
-    diff = _difference_dfa(fa1, fa2).reachable()
-    return not diff.accepting
+    cx = subset_counterexample(fa1, fa2)
+    return (cx is None, cx) if witness else cx is None
 
 
 def language_equal(

@@ -42,6 +42,7 @@ _CREATE = (verbs.Arg("traces", "traces"), verbs.Arg("fa", "text", None), _SESSIO
            *verbs.SUPERVISION)
 _ATTACH = (verbs.Arg("path", "word"), _SESSION)
 _SAVE = (verbs.Arg("path", "text", None),)
+_DIFF = (verbs.Arg("no_dead", "bool", False),)
 
 
 class SessionService:
@@ -152,6 +153,7 @@ class SessionService:
         from repro.analysis.semantic import diff_fas
 
         with obs.span("service.diff"):
+            no_dead = verbs.check_args("diff", _DIFF, payload)["no_dead"]
             left_name, left_fa = _diff_operand(payload, "left")
             right_name, right_fa = _diff_operand(payload, "right")
             diff = diff_fas(
@@ -159,7 +161,7 @@ class SessionService:
                 right_fa,
                 left_name,
                 right_name,
-                dead_transitions=not payload.get("no_dead", False),
+                dead_transitions=not no_dead,
             )
             return {
                 "diff": diff.to_dict(),

@@ -12,7 +12,8 @@ from repro.fa.ops import (
     language_equal,
     language_subset,
     minimize,
-    shortest_accepted,
+    Subsets,
+    shortest_difference,
     subset_counterexample,
     symbol_complement,
     union,
@@ -245,9 +246,47 @@ class TestWitnesses:
         second = language_equal(ab_star, a_star, witness=True)
         assert first == second
 
-    def test_shortest_accepted_none_on_empty_language(self):
-        dfa = dfa_from_fa(make([("s", "a", "dead")], ["s"], []))
-        assert shortest_accepted(dfa.reachable()) is None
+    def test_shortest_difference_none_on_empty_language(self):
+        empty = make([("s", "a", "dead")], ["s"], [])
+        nothing = make([], ["s"], [])
+        assert shortest_difference(Subsets(empty), Subsets(nothing)) is None
+
+
+class TestSubsets:
+    """The lazy subset construction behind the inclusion kernel."""
+
+    @pytest.fixture
+    def fork(self):
+        """a (b | c), forking on a."""
+        return make(
+            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "f"),
+             ("s2", "c", "f")],
+            ["s0"], ["f"],
+        )
+
+    def test_explore_matches_dfa(self, fork):
+        subsets = Subsets(fork)
+        assert len(subsets.explore()) == dfa_from_fa(fork).num_states
+
+    def test_sole_moves(self, fork):
+        subsets = Subsets(fork)
+        subsets.explore()
+        # {s1, s2} has one b-move and one c-move; {s0} has two a-moves.
+        assert subsets.sole == {2, 3}
+
+    def test_without_leaves_the_original_alone(self, fork):
+        subsets = Subsets(fork)
+        pruned = subsets.without(2)
+        assert shortest_difference(subsets, pruned) == ("a", "b")
+        assert shortest_difference(pruned, subsets) is None
+        fresh = Subsets(fork)
+        assert shortest_difference(subsets, fresh) is None
+        assert shortest_difference(fresh, subsets) is None
+
+    def test_ties_go_to_the_smallest_symbol(self):
+        left = make([("s", "b", "f"), ("s", "a", "f")], ["s"], ["f"])
+        nothing = make([], ["s"], [])
+        assert shortest_difference(Subsets(left), Subsets(nothing)) == ("a",)
 
 
 class TestEnumerationCap:

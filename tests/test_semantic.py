@@ -1,9 +1,11 @@
 """The semantic analysis subsystem: spec-diff and label-flow."""
 
+import itertools
 import json
 
 import pytest
 
+from repro import obs
 from repro.analysis.diagnostics import Diagnostic, Location
 from repro.analysis.semantic import (
     LabelAct,
@@ -29,6 +31,14 @@ from repro.robustness.errors import BudgetExceeded
 
 def make(edges, initial, accepting):
     return FA.from_edges(edges, initial=initial, accepting=accepting)
+
+
+class TickingBudget(Budget):
+    """A wall budget whose clock advances one second per reading."""
+
+    def meter(self, clock=None):
+        ticks = itertools.count()
+        return super().meter(clock=lambda: float(next(ticks)))
 
 
 @pytest.fixture
@@ -166,6 +176,30 @@ class TestSemanticallyDead:
             )
             assert language_equal(fa, pruned)
 
+    def test_diff_span_carries_sweep_counts(self, full):
+        parallel = make(
+            [("s0", "a", "s1"), ("s0", "a", "s1b"),
+             ("s1", "b", "s2"), ("s1b", "b", "s2")],
+            ["s0"], ["s2"],
+        )
+        recorder = obs.configure(record=True)
+        try:
+            diff_fas(full, parallel)
+            diff_fas(full, full, dead_transitions=False)
+            spans = recorder.named("semantic.diff")
+            counters = recorder.registry.snapshot()["counters"]
+        finally:
+            obs.shutdown()
+        # full: 3 live transitions, all certified; parallel: 4, none.
+        expected = {"candidates": 7, "certified": 3, "checks": 4}
+        assert {
+            name: spans[0].attrs[f"dead_{name}"] for name in expected
+        } == expected
+        assert {
+            name: counters[f"semantic.dead.{name}"] for name in expected
+        } == expected
+        assert "dead_checks" not in spans[1].attrs
+
     def test_live_chain_is_not_dead(self, full):
         assert semantically_dead_transitions(full) == []
         assert run_semantic_fa_passes(full) == []
@@ -191,8 +225,39 @@ class TestSemanticallyDead:
             semantically_dead_transitions(fa, budget=Budget(wall_seconds=0.0))
         assert isinstance(info.value.checkpoint, list)
 
+    @pytest.mark.parametrize("ticks", [1, 2, 3, 4])
+    def test_checkpoint_is_prefix_of_full_result(self, ticks):
+        # s0 -a-> s1 is certified (the only a-move out of {s0}); the
+        # duplicated b-move and the parallel c-paths need a search each.
+        fa = make(
+            [("s0", "a", "s1"), ("s1", "b", "s2"), ("s1", "b", "s2"),
+             ("s2", "c", "s3"), ("s2", "c", "s3b"), ("s3", "d", "s4"),
+             ("s3b", "d", "s4")],
+            ["s0"], ["s4"],
+        )
+        full = semantically_dead_transitions(fa)
+        assert full == [1, 2, 3, 4, 5, 6]
+        with pytest.raises(BudgetExceeded) as info:
+            semantically_dead_transitions(
+                fa, budget=TickingBudget(wall_seconds=ticks - 0.5)
+            )
+        checkpoint = info.value.checkpoint
+        assert checkpoint == full[: len(checkpoint)]
+        assert len(checkpoint) == ticks - 1
+        assert info.value.context["certified"] == 1
+
 
 class TestCompletion:
+    def test_generator_of_start_states(self, full):
+        # Every state is tested against the same start set, however the
+        # starts are given.
+        assert shortest_accepting_completion(full, iter(["s1"])) == (
+            "close(X)",
+        )
+        assert shortest_accepting_completion(
+            full, (s for s in ["s0", "s2"])
+        ) == ()
+
     def test_mid_state(self, full):
         assert shortest_accepting_completion(full, ["s1"]) == ("close(X)",)
 

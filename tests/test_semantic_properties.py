@@ -5,15 +5,26 @@ checked against brute-force enumeration of both languages up to a length
 bound: a brute-force difference implies the relation reflects it, the
 returned witness must be a genuinely distinguishing string of minimal
 length, and ``equal`` verdicts imply the bounded languages coincide.
+The SEM004 sweep is checked both ways against one ``language_equal``
+per live transition: what it reports is removable, and nothing
+removable is missed.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.analysis.fa_passes import live_transitions
 from repro.analysis.semantic import diff_fas, semantically_dead_transitions
 from repro.fa.automaton import FA, Transition
-from repro.fa.ops import accepted_strings_upto, dfa_from_fa, language_equal
+from repro.fa.ops import (
+    accepted_strings_upto,
+    determinize,
+    dfa_from_fa,
+    language_equal,
+)
 from repro.lang.events import parse_pattern
 
 ALPHABET = ("a", "b", "c")
@@ -117,3 +128,65 @@ class TestDeadTransitionsVsBruteForce:
                 [t for j, t in enumerate(fa.transitions) if j != index]
             )
             assert accepted_strings_upto(pruned, 3, max_results=200) == baseline
+
+    @given(nfas())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_transition_equivalence(self, fa):
+        # Completeness as well as soundness: a certificate that wrongly
+        # marked a removable transition as necessary would fail here.
+        expected = [
+            index
+            for index in sorted(live_transitions(fa))
+            if language_equal(fa, without(fa, index))
+        ]
+        assert semantically_dead_transitions(fa) == expected
+
+
+def without(fa, index):
+    return fa.with_transitions(
+        [t for j, t in enumerate(fa.transitions) if j != index]
+    )
+
+
+@pytest.fixture
+def recorder():
+    rec = obs.configure(record=True)
+    try:
+        yield rec
+    finally:
+        obs.shutdown()
+
+
+def dead_counts(recorder):
+    counters = recorder.registry.snapshot()["counters"]
+    return {
+        name: counters[f"semantic.dead.{name}"]
+        for name in ("candidates", "certified", "checks")
+    }
+
+
+class TestDeadTransitionCertificate:
+    def test_trimmed_dfa_needs_no_search(self, recorder):
+        nfa = FA.from_edges(
+            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s3"),
+             ("s2", "c", "s3"), ("s3", "a", "s0")],
+            initial=["s0"], accepting=["s3"],
+        )
+        dfa = determinize(nfa)
+        assert semantically_dead_transitions(dfa) == []
+        assert dead_counts(recorder) == {
+            "candidates": dfa.num_transitions,
+            "certified": dfa.num_transitions,
+            "checks": 0,
+        }
+
+    def test_parallel_paths_are_all_searched(self, recorder):
+        fa = FA.from_edges(
+            [("s0", "open(X)", "s1"), ("s0", "open(X)", "s1b"),
+             ("s1", "close(X)", "s2"), ("s1b", "close(X)", "s2")],
+            initial=["s0"], accepting=["s2"],
+        )
+        assert semantically_dead_transitions(fa) == [0, 1, 2, 3]
+        assert dead_counts(recorder) == {
+            "candidates": 4, "certified": 0, "checks": 4
+        }

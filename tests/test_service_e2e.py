@@ -274,3 +274,22 @@ class TestDiffEndpoint:
         with pytest.raises(ServiceError) as info:
             client.diff(left="XtFree")
         assert info.value.context["status"] == 400
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, "yes"])
+    def test_diff_rejects_non_bool_no_dead(self, client, value):
+        # A string "false" is truthy: it must not silently skip SEM004.
+        with pytest.raises(ServiceError) as info:
+            client.diff(left="XtFree", right="XtFree", no_dead=value)
+        assert info.value.context["status"] == 400
+        assert info.value.context["argument"] == "no_dead"
+        assert "no_dead" in str(info.value)
+
+    def test_diff_no_dead_skips_sem004(self, client):
+        fa_text = (
+            "states: s0 s1 s1b s2\ninitial: s0\naccepting: s2\n"
+            "s0 -> s1: a\ns0 -> s1b: a\ns1 -> s2: b\ns1b -> s2: b\n"
+        )
+        swept = client.diff(left_text=fa_text, right_text=fa_text)
+        skipped = client.diff(left_text=fa_text, right_text=fa_text, no_dead=True)
+        assert swept["summary"]["warning"] == 8
+        assert skipped["summary"]["warning"] == 0
