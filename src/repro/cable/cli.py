@@ -51,13 +51,9 @@ from typing import Any
 
 from repro.cable.session import CableSession
 from repro.cable.verbs import TEMPLATE, VERBS, Arg, Result, Stack, Verb
-from repro.cable.verbs import check_args, template_fa, verb
+from repro.cable.verbs import check_args, create_session, template_fa, verb
 from repro.cable.views import lattice_to_dot
 from repro.robustness.errors import InputError, ReproError
-from repro.core.trace_clustering import cluster_traces
-from repro.fa.serialization import fa_from_text
-from repro.lang.traces import TraceSet
-from repro.learners.sk_strings import learn_sk_strings
 
 #: The CLI-only commands, in the shape of the shared verbs.
 CLI_ONLY: dict[str, Verb] = {}
@@ -206,37 +202,33 @@ def build_session(
     retries: int | None = None,
     on_fault: str = "raise",
 ) -> CableSession:
-    """Load traces (and optionally a reference FA) and build a session.
+    """Load traces (and optionally a reference FA) and build a session
+    with :func:`~repro.cable.verbs.create_session`.
 
-    Trace names are standardized (``X, Y, ...`` by first appearance), as
-    the miner front end and the verifier both do, so traces differing
-    only in concrete object ids form one class.  ``jobs`` fans the
-    clustering relation phase out over a process pool and sticks to the
-    session for later ``addtraces`` updates; ``retries``/``on_fault``
-    supervise those fan-outs (``on_fault="quarantine"`` keeps the
-    session alive when a relation evaluation is poisoned — the class
-    lands in the rejected set with its exception chain).
+    ``jobs`` fans the clustering relation phase out over a process pool
+    and sticks to the session for later ``addtraces`` updates;
+    ``retries``/``on_fault`` supervise those fan-outs
+    (``on_fault="quarantine"`` keeps the session alive when a relation
+    evaluation is poisoned — the class lands in the rejected set with
+    its exception chain).
     """
     with open(trace_path) as fh:
         texts = [line.strip() for line in fh if line.strip()]
-    raw = TraceSet.from_strings(texts)
-    traces = TraceSet([t.standardize_names() for t in raw])
+    fa_text = None
     if fa_path:
         with open(fa_path) as fh:
-            reference = fa_from_text(fh.read())
-    else:
-        reference = learn_sk_strings(list(traces), k=2, s=1.0).fa
-    clustering = cluster_traces(
-        list(traces), reference, jobs=jobs, retry=retries, on_fault=on_fault
+            fa_text = fh.read()
+    session = create_session(
+        texts, fa_text, jobs=jobs, retry=retries, on_fault=on_fault
     )
-    if clustering.fault_report is not None:
+    if session.clustering.fault_report is not None:
         print(
-            f"warning: {len(clustering.fault_report)} trace class(es) "
+            f"warning: {len(session.clustering.fault_report)} trace class(es) "
             "quarantined — evaluation failed; re-run with more --retries "
             "or inspect the worker traceback",
             file=sys.stderr,
         )
-    return CableSession(clustering, jobs=jobs, retries=retries, on_fault=on_fault)
+    return session
 
 
 def _pop_global_options(

@@ -10,7 +10,9 @@ result the service sends, and the REPL's text rendering of that result.
 The front ends only turn their input into raw argument values — REPL
 words or a JSON payload — and :func:`check_args` validates both the
 same way, so a bad argument raises the same :class:`InputError`,
-naming the argument, on either side.
+naming the argument, on either side.  Both also open sessions with
+:func:`create_session`, which parses trace texts as ``addtraces``
+does: a malformed trace raises an :class:`InputError` naming its index.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from typing import Any
 from repro.cable.session import CableSession, Selection, SelectionError
 from repro.cable.views import ConceptState, ConceptSummary
 from repro.cable.views import render_lattice, render_lattice_tree
+from repro.core.trace_clustering import cluster_traces
 from repro.fa.automaton import FA
 from repro.fa.serialization import fa_from_text
 from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
 from repro.lang.traces import Trace, parse_trace
+from repro.learners.sk_strings import learn_sk_strings
 from repro.parallel.pool import FAULT_MODES
 from repro.robustness.budget import Budget
 from repro.robustness.errors import InputError
@@ -101,6 +105,68 @@ def template_fa(symbols: Sequence[str], template: str, arg: str | None) -> FA:
     return compile_regex(arg)
 
 
+def _parse_traces(
+    texts: Sequence[Trace | str], prefix: str = "t", start: int = 0
+) -> list[Trace]:
+    """Parse trace texts with ids ``<prefix><start + i>``, names standardized.
+
+    ``Trace`` objects are taken as they are.  Names become ``X, Y, ...``
+    by first appearance, as the miner front end and the verifier both
+    do, so traces differing only in concrete object ids form one class.
+    A malformed text raises :class:`InputError` naming its index.
+    """
+    traces = []
+    for i, text in enumerate(texts):
+        if isinstance(text, Trace):
+            trace = text
+        else:
+            try:
+                trace = parse_trace(text, trace_id=f"{prefix}{start + i}")
+            except ValueError as exc:
+                raise InputError(str(exc), trace=i, text=text) from None
+        traces.append(trace.standardize_names())
+    return traces
+
+
+def create_session(
+    traces: Sequence[Trace | str],
+    fa_text: str | None = None,
+    *,
+    budget: Budget | None = None,
+    jobs: int | None = None,
+    retry: int | None = None,
+    task_timeout: float | None = None,
+    on_fault: str = "raise",
+) -> CableSession:
+    """A new session clustering ``traces``: the REPL's and the service's
+    ``create``.
+
+    Texts are parsed with ids ``t<i>``.  Without ``fa_text`` the
+    reference FA is learned from the traces with sk-strings (k=2,
+    s=1.0), the miner-FA default of Section 2.2.  ``budget`` and
+    ``task_timeout`` bound this clustering; ``jobs``/``retry``/
+    ``on_fault`` supervise it and stick to the session for later
+    ``addtraces`` updates.
+    """
+    parsed = _parse_traces(traces)
+    if not parsed:
+        raise InputError("a session needs at least one trace")
+    if fa_text is not None:
+        reference = fa_from_text(fa_text)
+    else:
+        reference = learn_sk_strings(parsed, k=2, s=1.0).fa
+    clustering = cluster_traces(
+        parsed,
+        reference,
+        budget=budget,
+        jobs=jobs,
+        retry=retry,
+        task_timeout=task_timeout,
+        on_fault=on_fault,
+    )
+    return CableSession(clustering, jobs=jobs, retries=retry, on_fault=on_fault)
+
+
 def _added_traces(session: CableSession, texts: Sequence[str]) -> list[Trace]:
     """Parse new trace texts with ids unique for the session's whole life.
 
@@ -114,11 +180,7 @@ def _added_traces(session: CableSession, texts: Sequence[str]) -> list[Trace]:
         for t in members
         if t.trace_id.startswith("added") and t.trace_id[5:].isdigit()
     ]
-    start = max(used, default=-1) + 1
-    return [
-        parse_trace(text, trace_id=f"added{start + i}").standardize_names()
-        for i, text in enumerate(texts)
-    ]
+    return _parse_traces(texts, "added", max(used, default=-1) + 1)
 
 
 # --------------------------------------------------------------------- #

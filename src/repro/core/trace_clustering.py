@@ -13,13 +13,17 @@ With this choice, ``sim(X)`` is the number of transitions all traces of X
 execute in common — the paper's flexible, specification-connected
 similarity measure.
 
-Both context-building paths (:func:`cluster_traces` and
-:func:`build_trace_context`) draw their attribute and object names from
-the canonical helpers :func:`transition_attribute_names` and
+One classify step serves both entry points: :func:`cluster_traces`
+groups a corpus into identical-event classes and builds the lattice
+cold; :func:`extend_clustering` buckets a new batch against the classes
+a clustering already has and resumes Godin's construction.  In both,
+the grouping and one relation evaluation per group run inside the
+``cluster.relation`` span.  Attribute and object names come from the
+canonical helpers :func:`transition_attribute_names` and
 :func:`trace_object_names`, so the same FA always yields the same
 attribute universe and object names always track the *compacted* row
-index — cross-path context merge/compare, lint fingerprints, and session
-resume all rely on that.
+index — context merge/compare, lint fingerprints, and session resume
+all rely on that.
 
 The relation phase is evaluated through
 :func:`repro.parallel.relation_map`: cached per FA, and fanned out over
@@ -44,7 +48,7 @@ from repro.core.concepts import ConceptLattice
 from repro.core.context import FormalContext
 from repro.core.godin import GodinLatticeBuilder, build_lattice_godin
 from repro.fa.automaton import FA
-from repro.lang.traces import DedupResult, Trace, dedup_traces
+from repro.lang.traces import Trace, dedup_traces
 from repro.parallel.relation import RelationMapResult, relation_map
 from repro.robustness.budget import Budget
 from repro.robustness.errors import ClusteringError
@@ -115,55 +119,176 @@ class TraceClustering:
         return [self.reference_fa.describe_transition(a) for a in sorted(attrs)]
 
 
-def build_trace_context(
+#: The members of one identical-event class; the first stands for all.
+Group = Sequence[Trace]
+
+#: Buckets a batch of traces into the classes still to be evaluated, and
+#: counts the traces it skipped as duplicates of a class already rejected.
+Grouping = Callable[[Sequence[Trace]], tuple[list[Group], int]]
+
+
+def _classify(
+    traces: Sequence[Trace],
+    group: Grouping,
+    reference_fa: FA,
+    prior_faults: RejectedReport | None,
+    *,
+    strict: bool,
+    budget: Budget | None,
+    jobs: int | None,
+    backend: str,
+    retry: "RetryPolicy | int | None",
+    task_timeout: float | None,
+    on_fault: str,
+) -> tuple[list[tuple[Group, frozenset[int]]], list[Trace], RejectedReport | None]:
+    """Group ``traces`` and evaluate the relation once per group.
+
+    Returns the accepted groups with their context rows, the rejected
+    traces (semantic rejections first, then the members of groups whose
+    evaluation was poisoned), and ``prior_faults`` merged with this
+    batch's fault report.  Under ``strict=True`` a semantic rejection
+    raises :class:`~repro.robustness.errors.ClusteringError`.
+    """
+    with obs.span("cluster.relation", traces=len(traces)) as relation_span:
+        groups, skipped_rejected = group(traces)
+        relations = relation_map(
+            reference_fa,
+            [members[0] for members in groups],
+            jobs=jobs,
+            backend=backend,
+            budget=budget,
+            retry=retry,
+            task_timeout=task_timeout,
+            on_fault=on_fault,
+        )
+        if isinstance(relations, RelationMapResult):
+            fault_errors = dict(relations.failures)
+            relations = relations.results
+        else:
+            fault_errors = {}
+        accepted: list[tuple[Group, frozenset[int]]] = []
+        rejected: list[Trace] = []
+        fault_failures: list[tuple[Trace, BaseException]] = []
+        for i, (members, rel) in enumerate(zip(groups, relations)):
+            if rel is None:
+                fault_failures.extend((t, fault_errors[i]) for t in members)
+            elif rel.accepted:
+                accepted.append((members, rel.executed))
+            else:
+                rejected.extend(members)
+        relation_span.set(
+            classes=len(groups),
+            rejected=len(rejected),
+            rejected_dups=skipped_rejected,
+            faults=len(fault_failures),
+        )
+
+    if strict and rejected:
+        raise ClusteringError(
+            "reference FA rejected scenario trace(s) in strict mode",
+            num_rejected=len(rejected),
+            trace_ids=[t.trace_id or str(t) for t in rejected[:10]],
+        )
+    rejected.extend(t for t, _ in fault_failures)
+    if fault_failures:
+        batch_report = RejectedReport.from_failures(fault_failures)
+        prior_faults = (
+            batch_report
+            if prior_faults is None
+            else prior_faults.merge(batch_report)
+        )
+    return accepted, rejected, prior_faults
+
+
+def cluster_traces(
     traces: Sequence[Trace],
     reference_fa: FA,
+    dedup: bool = True,
+    *,
+    strict: bool = False,
+    budget: Budget | None = None,
+    lint: bool = False,
     jobs: int | None = None,
     backend: str = "process",
-    *,
     retry: "RetryPolicy | int | None" = None,
     task_timeout: float | None = None,
     on_fault: str = "raise",
-) -> tuple[FormalContext, list[Trace]]:
-    """Build the Section 3.2 formal context for accepted traces.
+) -> TraceClustering:
+    """Cluster ``traces`` with respect to ``reference_fa``.
 
-    Returns the context plus the list of traces the reference FA rejects
-    (which cannot be clustered under it — the caller decides whether that
-    is an error or whether those traces go to a different session).
-    ``jobs``/``backend``/``retry``/``task_timeout``/``on_fault`` fan the
-    relation phase out over a supervised worker pool (see
-    :mod:`repro.parallel`); under ``on_fault="quarantine"`` traces whose
-    evaluation was poisoned land in the rejected list alongside the
-    semantically rejected ones.
+    ``dedup=True`` (the paper's setting) clusters one representative per
+    identical-event class; ``dedup=False`` makes every trace an object
+    of its own.  The lattice is built with Godin's incremental algorithm.
+
+    Traces the reference FA rejects are quarantined in ``rejected`` and
+    clustering proceeds on the accepted subset (graceful degradation);
+    ``strict=True`` restores fail-fast behaviour by raising
+    :class:`~repro.robustness.errors.ClusteringError` instead.  A
+    ``budget`` bounds the relation fan-out (wall clock) and the lattice
+    construction (an over-budget build raises
+    :class:`~repro.robustness.errors.BudgetExceeded` with a resumable
+    checkpoint).
+
+    ``jobs`` fans the relation phase out over a worker pool (``1``/
+    ``None`` = serial, ``0`` = one worker per CPU) with the given
+    ``backend`` (``"process"`` by default — the work is CPU-bound);
+    results are bit-identical to serial whatever the setting.
+    ``retry``/``task_timeout``/``on_fault`` supervise the fan-out (see
+    :func:`repro.parallel.parallel_map`): under ``on_fault="quarantine"``
+    a poisoned relation evaluation does not abort the clustering —
+    the class's members land in ``rejected`` and the exhausted
+    exception chains in ``fault_report``.
+
+    ``lint=True`` runs the static spec-lint passes
+    (:func:`repro.analysis.lint.lint_reference`) over ``reference_fa``
+    and the trace corpus *before* clustering; the report rides along on
+    the result as ``lint_report``, and under ``strict=True`` lint
+    *errors* abort the run with
+    :class:`~repro.robustness.errors.InputError`.
     """
-    accepted: list[Trace] = []
-    rows: list[frozenset[int]] = []
-    rejected: list[Trace] = []
-    relations = relation_map(
-        reference_fa,
+    lint_report: LintReport | None = None
+    if lint:
+        # Imported here: repro.analysis imports this package's modules.
+        from repro.analysis.lint import lint_reference, raise_on_errors
+
+        lint_report = lint_reference(reference_fa, traces)
+        if strict:
+            raise_on_errors(lint_report)
+
+    def group(traces: Sequence[Trace]) -> tuple[list[Group], int]:
+        if dedup:
+            return list(dedup_traces(traces).members), 0
+        return [(t,) for t in traces], 0
+
+    accepted, rejected, fault_report = _classify(
         traces,
+        group,
+        reference_fa,
+        None,
+        strict=strict,
+        budget=budget,
         jobs=jobs,
         backend=backend,
         retry=retry,
         task_timeout=task_timeout,
         on_fault=on_fault,
     )
-    if isinstance(relations, RelationMapResult):
-        relations = relations.results
-    for trace, rel in zip(traces, relations):
-        if rel is None:
-            rejected.append(trace)
-        elif rel.accepted:
-            accepted.append(trace)
-            rows.append(rel.executed)
-        else:
-            rejected.append(trace)
+    representatives = tuple(members[0] for members, _ in accepted)
     context = FormalContext(
-        trace_object_names(accepted),
+        trace_object_names(representatives),
         transition_attribute_names(reference_fa),
-        rows,
+        [row for _, row in accepted],
     )
-    return context, rejected
+    return TraceClustering(
+        reference_fa=reference_fa,
+        lattice=build_lattice_godin(context, budget=budget),
+        representatives=representatives,
+        class_counts=tuple(len(members) for members, _ in accepted),
+        class_members=tuple(tuple(members) for members, _ in accepted),
+        rejected=tuple(rejected),
+        lint_report=lint_report,
+        fault_report=fault_report,
+    )
 
 
 def extend_clustering(
@@ -198,88 +323,42 @@ def extend_clustering(
     returned clustering's ``fault_report`` (merged with any prior one).
     """
     reference_fa = clustering.reference_fa
-    by_key = {
-        rep.key(): o for o, rep in enumerate(clustering.representatives)
-    }
-    rejected_keys = {t.key() for t in clustering.rejected}
-    counts = list(clustering.class_counts)
     members = [list(m) for m in clustering.class_members]
-    representatives = list(clustering.representatives)
-    rejected = list(clustering.rejected)
 
-    with obs.span("cluster.relation", traces=len(new_traces)) as relation_span:
-        # Bucket: joins of existing classes, duplicates of already-rejected
-        # keys (skipped), and candidates — one relation evaluation per
-        # distinct unseen key.
-        candidates: dict[tuple, list[Trace]] = {}
+    def bucket(traces: Sequence[Trace]) -> tuple[list[Group], int]:
+        # Joins of existing classes, duplicates of already-rejected keys
+        # (skipped), and one group per distinct unseen key.
+        joins = {
+            rep.key(): members[o]
+            for o, rep in enumerate(clustering.representatives)
+        }
+        rejected_keys = {t.key() for t in clustering.rejected}
+        unseen: dict[tuple, list[Trace]] = {}
         skipped_rejected = 0
-        for trace in new_traces:
+        for trace in traces:
             key = trace.key()
-            existing = by_key.get(key)
-            if existing is not None:
-                counts[existing] += 1
-                members[existing].append(trace)
+            joined = joins.get(key)
+            if joined is not None:
+                joined.append(trace)
             elif key in rejected_keys:
                 skipped_rejected += 1
             else:
-                candidates.setdefault(key, []).append(trace)
+                unseen.setdefault(key, []).append(trace)
+        return list(unseen.values()), skipped_rejected
 
-        relations = relation_map(
-            reference_fa,
-            [group[0] for group in candidates.values()],
-            jobs=jobs,
-            backend=backend,
-            budget=budget,
-            retry=retry,
-            task_timeout=task_timeout,
-            on_fault=on_fault,
-        )
-        if isinstance(relations, RelationMapResult):
-            fault_errors = dict(relations.failures)
-            relations = relations.results
-        else:
-            fault_errors = {}
-        fresh: list[tuple[Trace, frozenset[int]]] = []
-        newly_rejected: list[Trace] = []
-        fault_failures: list[tuple[Trace, BaseException]] = []
-        for j, ((key, group), rel) in enumerate(
-            zip(candidates.items(), relations)
-        ):
-            if rel is None:
-                rejected_keys.add(key)
-                fault_failures.extend((t, fault_errors[j]) for t in group)
-            elif rel.accepted:
-                by_key[key] = len(representatives)
-                representatives.append(group[0])
-                counts.append(len(group))
-                members.append(group)
-                fresh.append((group[0], rel.executed))
-            else:
-                newly_rejected.extend(group)
-                rejected_keys.add(key)
-        relation_span.set(
-            classes=len(candidates),
-            rejected=len(newly_rejected),
-            rejected_dups=skipped_rejected,
-            faults=len(fault_failures),
-        )
-
-    if strict and newly_rejected:
-        raise ClusteringError(
-            "reference FA rejected scenario trace(s) in strict mode",
-            num_rejected=len(newly_rejected),
-            trace_ids=[t.trace_id or str(t) for t in newly_rejected[:10]],
-        )
-    rejected.extend(newly_rejected)
-    rejected.extend(t for t, _ in fault_failures)
-    fault_report = clustering.fault_report
-    if fault_failures:
-        batch_report = RejectedReport.from_failures(fault_failures)
-        fault_report = (
-            batch_report
-            if fault_report is None
-            else fault_report.merge(batch_report)
-        )
+    fresh, rejected, fault_report = _classify(
+        new_traces,
+        bucket,
+        reference_fa,
+        clustering.fault_report,
+        strict=strict,
+        budget=budget,
+        jobs=jobs,
+        backend=backend,
+        retry=retry,
+        task_timeout=task_timeout,
+        on_fault=on_fault,
+    )
 
     if not fresh:
         lattice = clustering.lattice
@@ -301,156 +380,22 @@ def extend_clustering(
         )
         rows = list(old_context.rows)
         names = list(old_context.objects)
-        for trace, executed in fresh:
+        for group, executed in fresh:
             builder.add_object(len(rows), executed)
             rows.append(executed)
-            names.append(trace.trace_id or f"t{len(rows) - 1}")
+            names.append(group[0].trace_id or f"t{len(rows) - 1}")
         context = FormalContext(names, old_context.attributes, rows)
         lattice = builder.build(context)
+    members.extend(group for group, _ in fresh)
 
     return TraceClustering(
         reference_fa=reference_fa,
         lattice=lattice,
-        representatives=tuple(representatives),
-        class_counts=tuple(counts),
+        representatives=clustering.representatives
+        + tuple(group[0] for group, _ in fresh),
+        class_counts=tuple(len(m) for m in members),
         class_members=tuple(tuple(m) for m in members),
-        rejected=tuple(rejected),
+        rejected=clustering.rejected + tuple(rejected),
         lint_report=clustering.lint_report,
-        fault_report=fault_report,
-    )
-
-
-def cluster_traces(
-    traces: Sequence[Trace],
-    reference_fa: FA,
-    dedup: bool = True,
-    build: Callable[[FormalContext], ConceptLattice] = build_lattice_godin,
-    strict: bool = False,
-    budget: Budget | None = None,
-    lint: bool = False,
-    jobs: int | None = None,
-    backend: str = "process",
-    retry: "RetryPolicy | int | None" = None,
-    task_timeout: float | None = None,
-    on_fault: str = "raise",
-) -> TraceClustering:
-    """Cluster ``traces`` with respect to ``reference_fa``.
-
-    ``dedup=True`` (the paper's setting) clusters one representative per
-    identical-event class; ``build`` selects the lattice construction
-    (Godin's incremental algorithm by default).
-
-    Traces the reference FA rejects are quarantined in ``rejected`` and
-    clustering proceeds on the accepted subset (graceful degradation);
-    ``strict=True`` restores fail-fast behaviour by raising
-    :class:`~repro.robustness.errors.ClusteringError` instead.  A
-    ``budget`` bounds the relation fan-out (wall clock) and the lattice
-    construction (honoured by the default Godin builder; an over-budget
-    build raises :class:`~repro.robustness.errors.BudgetExceeded` with a
-    resumable checkpoint).
-
-    ``jobs`` fans the relation phase out over a worker pool (``1``/
-    ``None`` = serial, ``0`` = one worker per CPU) with the given
-    ``backend`` (``"process"`` by default — the work is CPU-bound);
-    results are bit-identical to serial whatever the setting.
-    ``retry``/``task_timeout``/``on_fault`` supervise the fan-out (see
-    :func:`repro.parallel.parallel_map`): under ``on_fault="quarantine"``
-    a poisoned relation evaluation does not abort the clustering —
-    the class's members land in ``rejected`` and the exhausted
-    exception chains in ``fault_report``.
-
-    ``lint=True`` runs the static spec-lint passes
-    (:func:`repro.analysis.lint.lint_reference`) over ``reference_fa``
-    and the trace corpus *before* clustering; the report rides along on
-    the result as ``lint_report``, and under ``strict=True`` lint
-    *errors* abort the run with
-    :class:`~repro.robustness.errors.InputError`.
-    """
-    lint_report: LintReport | None = None
-    if lint:
-        # Imported here: repro.analysis imports this package's modules.
-        from repro.analysis.lint import lint_reference, raise_on_errors
-
-        lint_report = lint_reference(reference_fa, traces)
-        if strict:
-            raise_on_errors(lint_report)
-
-    with obs.span("cluster.relation", traces=len(traces)) as relation_span:
-        if dedup:
-            groups: DedupResult = dedup_traces(traces)
-            pool = list(groups.representatives)
-            counts = list(groups.counts)
-            members = list(groups.members)
-        else:
-            pool = list(traces)
-            counts = [1] * len(pool)
-            members = [(t,) for t in pool]
-
-        relations = relation_map(
-            reference_fa,
-            pool,
-            jobs=jobs,
-            backend=backend,
-            budget=budget,
-            retry=retry,
-            task_timeout=task_timeout,
-            on_fault=on_fault,
-        )
-        if isinstance(relations, RelationMapResult):
-            fault_errors = dict(relations.failures)
-            relations = relations.results
-        else:
-            fault_errors = {}
-        accepted_idx: list[int] = []
-        rejected: list[Trace] = []
-        rows: list[frozenset[int]] = []
-        fault_failures: list[tuple[Trace, BaseException]] = []
-        for i, rel in enumerate(relations):
-            if rel is None:
-                fault_failures.extend(
-                    (t, fault_errors[i]) for t in members[i]
-                )
-            elif rel.accepted:
-                accepted_idx.append(i)
-                rows.append(rel.executed)
-            else:
-                rejected.extend(members[i])
-        relation_span.set(
-            classes=len(pool),
-            rejected=len(rejected),
-            faults=len(fault_failures),
-        )
-
-    if strict and rejected:
-        raise ClusteringError(
-            "reference FA rejected scenario trace(s) in strict mode",
-            num_rejected=len(rejected),
-            trace_ids=[t.trace_id or str(t) for t in rejected[:10]],
-        )
-    rejected.extend(t for t, _ in fault_failures)
-    fault_report = (
-        RejectedReport.from_failures(fault_failures)
-        if fault_failures
-        else None
-    )
-
-    representatives = tuple(pool[i] for i in accepted_idx)
-    context = FormalContext(
-        trace_object_names(representatives),
-        transition_attribute_names(reference_fa),
-        rows,
-    )
-    if budget is not None and build is build_lattice_godin:
-        lattice = build_lattice_godin(context, budget=budget)
-    else:
-        lattice = build(context)
-    return TraceClustering(
-        reference_fa=reference_fa,
-        lattice=lattice,
-        representatives=representatives,
-        class_counts=tuple(counts[i] for i in accepted_idx),
-        class_members=tuple(members[i] for i in accepted_idx),
-        rejected=tuple(rejected),
-        lint_report=lint_report,
         fault_report=fault_report,
     )

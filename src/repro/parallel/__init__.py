@@ -16,7 +16,7 @@ parallel.  This package provides the two pieces the hot paths share:
 * :func:`relation_map` / :class:`RelationCache` — the relation evaluated
   over a whole corpus, with a per-FA LRU cache in front of the pool.
 
-``cluster_traces``, ``extend_clustering``, ``build_trace_context``, and
+``cluster_traces``, ``extend_clustering``, and
 ``verify.check_all`` all accept ``jobs``/``backend``/``retry``/
 ``on_fault`` and route through here; the ``cable`` CLI and ``run_spec``
 surface them as ``--jobs N`` (``0`` = one worker per CPU),

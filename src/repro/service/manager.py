@@ -44,12 +44,8 @@ from typing import Any
 
 from repro import obs
 from repro.cable.persist import load_session_with_recovery, save_session
-from repro.cable.session import CableSession
-from repro.core.trace_clustering import cluster_traces
-from repro.fa.automaton import FA
-from repro.fa.serialization import fa_from_text
-from repro.lang.traces import Trace, TraceSet, parse_trace
-from repro.learners.sk_strings import learn_sk_strings
+from repro.cable.verbs import create_session
+from repro.lang.traces import Trace
 from repro.robustness.budget import Budget
 from repro.robustness.errors import InputError, LookupInputError
 from repro.service.lifecycle import (
@@ -248,33 +244,19 @@ class SessionManager:
         """Cluster ``traces`` into a new served session.
 
         ``traces`` may be parsed :class:`Trace` objects or raw
-        ``"a(x); b(x)"`` strings; without ``fa_text`` the reference FA
-        is learned with sk-strings (the miner-FA default).  The
-        clustering runs under the given (or server-default) budget and
-        supervision knobs, so a pathological corpus fails this request
-        instead of the server.
+        ``"a(x); b(x)"`` strings; the session is built by
+        :func:`~repro.cable.verbs.create_session` under the given (or
+        server-default) budget and supervision knobs, so a pathological
+        corpus fails this request instead of the server.
         """
         record = self._register(session_id)
         with obs.span(
             "service.create", session=record.session_id, traces=len(traces)
         ) as span:
             try:
-                parsed = [
-                    t
-                    if isinstance(t, Trace)
-                    else parse_trace(t, trace_id=f"t{i}")
-                    for i, t in enumerate(traces)
-                ]
-                parsed = [t.standardize_names() for t in parsed]
-                if not parsed:
-                    raise InputError("create needs at least one trace")
-                if fa_text:
-                    reference: FA = fa_from_text(fa_text)
-                else:
-                    reference = learn_sk_strings(parsed, k=2, s=1.0).fa
-                clustering = cluster_traces(
-                    list(TraceSet(parsed)),
-                    reference,
+                session = create_session(
+                    traces,
+                    fa_text,
                     budget=budget if budget is not None else self.budget,
                     jobs=self.jobs,
                     retry=self.retries,
@@ -283,12 +265,6 @@ class SessionManager:
                         if task_timeout is not None
                         else self.task_timeout
                     ),
-                    on_fault=on_fault if on_fault is not None else self.on_fault,
-                )
-                session = CableSession(
-                    clustering,
-                    jobs=self.jobs,
-                    retries=self.retries,
                     on_fault=on_fault if on_fault is not None else self.on_fault,
                 )
             except BaseException:
@@ -306,7 +282,7 @@ class SessionManager:
             obs.inc("service.sessions.spawned")
             self._update_gauges()
             span.set(
-                classes=clustering.num_objects,
+                classes=session.clustering.num_objects,
                 concepts=len(session.lattice),
             )
             return record

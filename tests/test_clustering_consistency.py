@@ -3,8 +3,9 @@
 Three bugs rode the old double-evaluation idiom and die with it:
 
 1. ``cluster_traces`` named attributes ``a<j>: <transition>`` while
-   ``build_trace_context`` used ``str(transition)`` with ``#n`` dedup
-   suffixes — two incompatible attribute universes for the same FA;
+   a second context builder (since deleted) used ``str(transition)``
+   with ``#n`` dedup suffixes — two incompatible attribute universes
+   for the same FA;
 2. ``cluster_traces`` named objects by *pool* index even though rows are
    compacted over the accepted subset, so names drifted past rejections;
 3. ``extend_clustering`` re-evaluated and re-appended already-rejected
@@ -17,7 +18,6 @@ import pytest
 from repro import obs
 from repro.core.trace_clustering import (
     TraceClustering,
-    build_trace_context,
     cluster_traces,
     extend_clustering,
     trace_object_names,
@@ -31,24 +31,8 @@ from repro.robustness.budget import Budget
 from repro.robustness.errors import BudgetExceeded, ClusteringError
 
 
-def _fa():
-    return unordered_fa(["open(X)", "read(X)", "close(X)"])
-
-
 class TestCanonicalAttributeUniverse:
-    """Bug 1: both context paths must share one attribute universe."""
-
-    def test_cluster_and_build_agree(self):
-        fa = _fa()
-        ts = [parse_trace("open(x); close(x)"), parse_trace("read(x)")]
-        clustering = cluster_traces(ts, fa)
-        context, rejected = build_trace_context(ts, fa)
-        assert rejected == []
-        assert (
-            clustering.lattice.context.attributes
-            == context.attributes
-            == tuple(transition_attribute_names(fa))
-        )
+    """Bug 1: one FA, one attribute universe, one name per transition."""
 
     def test_names_unique_for_identical_transitions(self):
         # Two transitions that render to the same text must still get
@@ -56,16 +40,6 @@ class TestCanonicalAttributeUniverse:
         fa = unordered_fa(["open(X)", "open(X)"])
         names = transition_attribute_names(fa)
         assert len(names) == len(set(names)) == 2
-
-    def test_contexts_from_both_paths_interchange(self):
-        # The practical consequence: a context built by one path can be
-        # compared attribute-for-attribute with the other's.
-        fa = _fa()
-        ts = [parse_trace("open(x); read(x); close(x)")]
-        clustering = cluster_traces(ts, fa)
-        context, _ = build_trace_context(ts, fa)
-        assert clustering.lattice.context.rows == context.rows
-        assert clustering.lattice.context.objects == context.objects
 
 
 class TestCompactedObjectNames:

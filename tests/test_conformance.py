@@ -637,15 +637,36 @@ class TestSeededMutations:
         fps = _module_findings(mutated, "repro/parallel/relation.py", ["CC006"])
         assert "CC006@code:RelationCache.clear" in fps
 
+    @pytest.mark.parametrize(
+        "param", ["budget", "retry", "task_timeout", "on_fault"]
+    )
+    def test_session_builder_forwards_supervision(self, real_tree, param):
+        # Both front ends create sessions through create_session: each
+        # supervision value it drops on the way to cluster_traces trips
+        # CC004 there.
+        name = "repro.cable.verbs"
+        original = real_tree.modules[name].source
+        start = original.index("    clustering = cluster_traces(\n")
+        end = original.index("    )\n", start)
+        call = original[start:end]
+        forwarded = f"        {param}={param},\n"
+        assert forwarded in call, "anchor for the seeded mutation moved"
+        mutated = real_tree.with_module_source(
+            name, original.replace(call, call.replace(forwarded, ""))
+        )
+        fps = _module_findings(mutated, "repro/cable/verbs.py", ["CC004"])
+        assert any(fp.startswith("CC004@code:create_session") for fp in fps)
+        base = _module_findings(real_tree, "repro/cable/verbs.py", ["CC004"])
+        assert not any(fp.startswith("CC004@") for fp in base)
+
     def test_dropped_budget_forward_trips_cc004(self, real_tree):
-        # extend_clustering never reads ``budget`` locally — it only
-        # forwards it — so dropping the relation_map forward is a pure
-        # plumbing break (cluster_traces, by contrast, tests ``budget
-        # is not None`` and is exempt under the local-consumption rule).
+        # The shared classify step never reads ``budget`` locally — it
+        # only forwards it — so dropping the relation_map forward is a
+        # pure plumbing break.
         name = "repro.core.trace_clustering"
         original = real_tree.modules[name].source
         forwarded = (
-            "            [group[0] for group in candidates.values()],\n"
+            "            [members[0] for members in groups],\n"
             "            jobs=jobs,\n"
             "            backend=backend,\n"
             "            budget=budget,\n"
@@ -655,7 +676,7 @@ class TestSeededMutations:
             name,
             original.replace(
                 forwarded,
-                "            [group[0] for group in candidates.values()],\n"
+                "            [members[0] for members in groups],\n"
                 "            jobs=jobs,\n"
                 "            backend=backend,\n",
             ),

@@ -525,15 +525,19 @@ class TestSeededMutations:
         assert not any(fp.startswith("CC009@") for fp in base)
 
     def test_branch_dropped_budget_trips_cc010(self, real_tree):
+        # A special-cased build path that forgets the budget: the cold
+        # build forwards it on one branch and drops it on the other.
         name = "repro.core.trace_clustering"
         original = real_tree.modules[name].source
-        dispatch = "        lattice = build(context)"
-        assert dispatch in original, "anchor for the seeded mutation moved"
-        assert "build_lattice_godin(context, budget=budget)" in original
+        build = "        lattice=build_lattice_godin(context, budget=budget),\n"
+        assert build in original, "anchor for the seeded mutation moved"
         mutated = real_tree.with_module_source(
             name,
             original.replace(
-                dispatch, "        lattice = build_lattice_godin(context)"
+                build,
+                "        lattice=build_lattice_godin(context, budget=budget)\n"
+                "        if dedup\n"
+                "        else build_lattice_godin(context),\n",
             ),
         )
         fps = _module_findings(

@@ -1,6 +1,9 @@
 """Clustering traces against a reference FA (Section 3.2)."""
 
-from repro.core.trace_clustering import build_trace_context, cluster_traces
+from repro.core.trace_clustering import (
+    cluster_traces,
+    transition_attribute_names,
+)
 from repro.fa.templates import unordered_fa
 from repro.lang.traces import parse_trace
 
@@ -9,21 +12,25 @@ class TestContextConstruction:
     def test_objects_are_traces_attributes_are_transitions(
         self, stdio_traces, stdio_reference
     ):
-        context, rejected = build_trace_context(stdio_traces, stdio_reference)
+        clustering = cluster_traces(stdio_traces, stdio_reference, dedup=False)
+        context = clustering.lattice.context
         assert context.num_objects == len(stdio_traces)
-        assert context.num_attributes == stdio_reference.num_transitions
-        assert rejected == []
+        assert context.attributes == tuple(
+            transition_attribute_names(stdio_reference)
+        )
+        assert clustering.rejected == ()
 
     def test_rows_are_executed_transitions(self, stdio_traces, stdio_reference):
-        context, _ = build_trace_context(stdio_traces, stdio_reference)
+        clustering = cluster_traces(stdio_traces, stdio_reference, dedup=False)
+        context = clustering.lattice.context
         for o, trace in enumerate(stdio_traces):
             assert context.rows[o] == stdio_reference.executed_transitions(trace)
 
     def test_rejected_traces_reported(self, stdio_reference):
         traces = [parse_trace("fopen(f); fclose(f)"), parse_trace("mystery(z)")]
-        _, rejected = build_trace_context(traces, stdio_reference)
-        assert len(rejected) == 1
-        assert rejected[0].symbols == ("mystery",)
+        clustering = cluster_traces(traces, stdio_reference, dedup=False)
+        assert len(clustering.rejected) == 1
+        assert clustering.rejected[0].symbols == ("mystery",)
 
 
 class TestClusterTraces:
@@ -77,12 +84,10 @@ class TestClusterTraces:
     def test_alternative_builder(self, stdio_traces, stdio_reference):
         from repro.core.batch import build_lattice_batch
 
-        via_batch = cluster_traces(
-            stdio_traces, stdio_reference, build=build_lattice_batch
-        )
-        via_godin = cluster_traces(stdio_traces, stdio_reference)
-        assert {c.extent for c in via_batch.lattice.concepts} == {
-            c.extent for c in via_godin.lattice.concepts
+        clustering = cluster_traces(stdio_traces, stdio_reference)
+        via_batch = build_lattice_batch(clustering.lattice.context)
+        assert {c.extent for c in via_batch.concepts} == {
+            c.extent for c in clustering.lattice.concepts
         }
 
     def test_unordered_reference_merges_order_variants(self):

@@ -61,6 +61,11 @@ class TestLearnersProperty:
             seen.add(key)
 
 
+def _concepts(clustering) -> set[tuple[frozenset[int], frozenset[int]]]:
+    lattice = clustering.lattice
+    return {(lattice.extent(c), lattice.intent(c)) for c in lattice}
+
+
 class TestClusteringProperty:
     @given(traces())
     @settings(max_examples=60, deadline=None)
@@ -74,14 +79,23 @@ class TestClusteringProperty:
     @given(traces(), traces(max_traces=4))
     @settings(max_examples=40, deadline=None)
     def test_extend_equals_recluster(self, first, second):
-        reference = unordered_fa([f"{s}(X)" for s in SYMBOLS])
-        incremental = extend_clustering(cluster_traces(first, reference), second)
-        full = cluster_traces(first + second, reference)
-        incremental.lattice.validate()
-        assert {c.extent for c in incremental.lattice.concepts} == {
-            c.extent for c in full.lattice.concepts
-        }
-        assert sum(incremental.class_counts) == len(first) + len(second)
+        # The second reference omits a symbol, so it rejects some traces.
+        for alphabet in (SYMBOLS, SYMBOLS[:3]):
+            reference = unordered_fa([f"{s}(X)" for s in alphabet])
+            incremental = extend_clustering(
+                cluster_traces(first, reference), second
+            )
+            full = cluster_traces(first + second, reference)
+            incremental.lattice.validate()
+            assert [t.key() for t in incremental.representatives] == [
+                t.key() for t in full.representatives
+            ]
+            assert incremental.class_counts == full.class_counts
+            assert incremental.class_members == full.class_members
+            assert {t.key() for t in incremental.rejected} == {
+                t.key() for t in full.rejected
+            }
+            assert _concepts(incremental) == _concepts(full)
 
     @given(traces())
     @settings(max_examples=40, deadline=None)

@@ -4,7 +4,8 @@ One scripted session runs through :class:`CableCLI` and through
 :meth:`SessionService.handle_verb` on identical sessions; every REPL
 line must be the text rendering of the matching JSON result, and both
 sides must end in the same state.  Bad arguments raise one
-:class:`InputError` naming the argument on both front ends.
+:class:`InputError` naming the argument on both front ends, and a
+malformed trace one naming the trace.
 """
 
 import io
@@ -12,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cable.cli import CableCLI, build_session
+from repro.cable.cli import CableCLI, build_session, main
 from repro.cable.persist import load_session
 from repro.cable.verbs import VERBS, check_args
 from repro.fa.serialization import fa_to_text
 from repro.robustness.errors import InputError
 from repro.service.api import VERBS as SERVICE_VERBS, SessionService
 from repro.service.manager import SessionManager
+from repro.service.server import error_body, status_for
 from repro.workloads.stdio import reference_fa
 
 from tests.conftest import STDIO_LABELED
@@ -160,6 +162,48 @@ def test_bad_arguments_fail_alike(pair, line, verb, payload, argument):
     # Neither side acted on the bad request.
     assert len(pair.cli.stack) == len(pair.stack()) == 1
     assert pair.cli.session.ops.total == pair.stack()[0].ops.total == 0
+
+
+#: The second trace does not parse: an event misses its ``)``.
+MALFORMED = ["fopen(f1); fclose(f1)", "fopen(f1; fclose(f1)"]
+
+
+class TestMalformedTraceInput:
+    """Trace input fails closed: an :class:`InputError` naming the
+    trace, ``error: ...`` and exit 2 on the CLI, 400 over HTTP."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [([], "a session needs at least one trace"), (MALFORMED, "trace=1")],
+        ids=["empty", "malformed"],
+    )
+    def test_cli_startup(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "traces.txt"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_service_create(self, pair):
+        with pytest.raises(InputError) as info:
+            pair.service.create({"session": "m", "traces": MALFORMED})
+        assert info.value.context == {"trace": 1, "text": MALFORMED[1]}
+        assert status_for(info.value) == 400
+        assert error_body(info.value)["error"]["context"]["trace"] == 1
+        sessions = pair.service.list_sessions()["sessions"]
+        assert [s["session"] for s in sessions] == ["d"]
+
+    def test_addtraces_on_both_front_ends(self, pair, tmp_path):
+        with pytest.raises(InputError) as info:
+            pair.http("addtraces", traces=MALFORMED)
+        assert info.value.context["trace"] == 1
+        assert status_for(info.value) == 400
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(MALFORMED) + "\n")
+        assert pair.repl(f"addtraces {path}") == f"error: {info.value}\n"
+        # Neither side added the well-formed trace before the bad one.
+        for session in (pair.cli.session, pair.stack()[0]):
+            assert sum(session.clustering.class_counts) == len(TEXTS)
 
 
 class TestAddedTraceIds:
